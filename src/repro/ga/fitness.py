@@ -115,15 +115,13 @@ def completion_times(assignments: np.ndarray, problem: BatchProblem) -> np.ndarr
     if assignments.size and (assignments.min() < 0 or assignments.max() >= m):
         raise ConfigurationError("assignment matrix references an invalid processor index")
 
-    # Per-gene contribution to its assigned processor: execution + communication.
-    rates_of = problem.rates[assignments]          # (P, H)
-    comm_of = problem.comm_costs[assignments]      # (P, H)
-    contrib = problem.sizes[None, :] / rates_of + comm_of
-
-    flat_index = (assignments + np.arange(pop)[:, None] * m).ravel()
-    sums = np.bincount(flat_index, weights=contrib.ravel(), minlength=pop * m)
-    per_proc = sums.reshape(pop, m)
-    return problem.pending_times()[None, :] + per_proc
+    # Per-gene contribution to its assigned processor (execution plus
+    # communication), gathered from the problem's cached cost table and summed
+    # per (individual, processor) in ascending task order.
+    contrib = problem.task_costs.ravel()[assignments + problem.task_cost_offsets]
+    flat_index = assignments + np.arange(0, pop * m, m)[:, None]
+    sums = np.bincount(flat_index.ravel(), weights=contrib.ravel(), minlength=pop * m)
+    return problem.pending_times() + sums.reshape(pop, m)
 
 
 def evaluate_assignments(assignments: np.ndarray, problem: BatchProblem) -> FitnessResult:

@@ -128,23 +128,24 @@ def decode_population(
             f"chromosome rows must have length {n_tasks + n_processors - 1}, got {length}"
         )
     delimiter = population < 0
-    # processor index of each gene = number of delimiters strictly before it
-    proc_of_gene = np.zeros((pop, length), dtype=int)
-    if length > 1:
-        np.cumsum(delimiter[:, :-1], axis=1, out=proc_of_gene[:, 1:])
+    # Inclusive delimiter count: for a task gene it is the number of
+    # delimiters before it, i.e. its processor index.
+    proc_of_gene = np.cumsum(delimiter, axis=1)
+    # M - 1 delimiters in every row means H task genes in every row, none of
+    # them assigned beyond the last processor.
+    if length and np.any(proc_of_gene[:, -1] != n_processors - 1):
+        raise EncodingError("every row must contain exactly H task genes and M - 1 delimiters")
     task_mask = ~delimiter
     task_genes = population[task_mask]
-    if task_genes.size != pop * n_tasks:
-        raise EncodingError("every row must contain exactly H task genes")
-    if task_genes.size and (task_genes.min() < 0 or task_genes.max() >= n_tasks):
+    if task_genes.size and task_genes.max() >= n_tasks:
         raise EncodingError("chromosome references a task index outside the batch")
-    rows = np.broadcast_to(np.arange(pop)[:, None], (pop, length))[task_mask]
-    assignments = np.full((pop, n_tasks), -1, dtype=int)
-    assignments[rows, task_genes] = proc_of_gene[task_mask]
+    # Task genes come out row by row, H per row: the flat target is row·H + gene.
+    flat = task_genes.reshape(pop, n_tasks) + np.arange(0, pop * n_tasks, n_tasks)[:, None]
+    assignments = np.full(pop * n_tasks, -1, dtype=int)
+    assignments[flat.ravel()] = proc_of_gene[task_mask]
+    assignments = assignments.reshape(pop, n_tasks)
     if np.any(assignments < 0):
         raise EncodingError("chromosome rows do not cover every task index")
-    if np.any(assignments >= n_processors):
-        raise EncodingError("chromosome assigns tasks beyond the last processor")
     return assignments
 
 
@@ -166,35 +167,40 @@ def cycle_labels(parents_a: np.ndarray, parents_b: np.ndarray) -> np.ndarray:
     The cycle structure is found without any per-pair Python work: the
     permutation is composed with itself (pointer doubling) ``ceil(log2 L)``
     times while tracking the minimum position reached, which labels every
-    position with its cycle's minimum in ``O(K·L·log L)``.
+    position with its cycle's minimum in ``O(K·L·log L)``.  Pointers are
+    flat indices into the ``K·L`` positions (``row·L + position``), so each
+    step is two plain gathers; a row's flat indices keep its position order,
+    so the minimum is the same as per row.
     """
     a = np.atleast_2d(np.asarray(parents_a, dtype=int))
     b = np.atleast_2d(np.asarray(parents_b, dtype=int))
     if a.shape != b.shape:
         raise EncodingError("parent batches must have identical shapes")
     k, length = a.shape
-    # Shift symbols to 0..L-1: task indices are >= 0, delimiters -1..-(M-1).
-    offset = -min(int(a.min()), 0) if a.size else 0
-    symbol_range = offset + int(a.max()) + 1 if a.size else 0
-    rows = np.arange(k)[:, None]
-    inverse_a = np.empty((k, symbol_range), dtype=int)
-    inverse_a[rows, a + offset] = np.arange(length)[None, :]
-    perm = inverse_a[rows, b + offset]  # position in a of the symbol at b[:, i]
+    if a.size == 0:
+        return np.zeros((k, length), dtype=int)
+    # Shift symbols to 0..R-1: task indices are >= 0, delimiters -1..-(M-1).
+    offset = -min(int(a.min()), 0)
+    symbol_range = offset + int(a.max()) + 1
+    symbol_base = np.arange(offset, offset + k * symbol_range, symbol_range)[:, None]
+    positions = np.arange(k * length)
+    flat_position_of_symbol = np.empty(k * symbol_range, dtype=int)
+    flat_position_of_symbol[(a + symbol_base).ravel()] = positions
+    # Flat position in a of the symbol at each flat position of b.
+    pointer = flat_position_of_symbol[(b + symbol_base).ravel()]
 
-    positions = np.arange(length)[None, :]
-    cycle_min = np.minimum(positions, perm)
-    pointer = perm
+    cycle_min = np.minimum(positions, pointer)
     steps = max(int(np.ceil(np.log2(length))), 1) if length > 1 else 0
     for _ in range(steps):
-        cycle_min = np.minimum(cycle_min, np.take_along_axis(cycle_min, pointer, axis=1))
-        pointer = np.take_along_axis(pointer, pointer, axis=1)
+        cycle_min = np.minimum(cycle_min, cycle_min[pointer])
+        pointer = pointer[pointer]
 
     # A position is its cycle's representative iff it equals the cycle minimum;
     # ranking the representatives in position order numbers the cycles exactly
     # as the sequential scan discovers them.
-    is_representative = cycle_min == positions
+    is_representative = (cycle_min == positions).reshape(k, length)
     discovery_rank = np.cumsum(is_representative, axis=1) - 1
-    return np.take_along_axis(discovery_rank, cycle_min, axis=1)
+    return discovery_rank.ravel()[cycle_min].reshape(k, length)
 
 
 def cycle_crossover_batch(
@@ -271,12 +277,29 @@ def rebalance_population(
     order.  This matches the loop implementation in distribution (uniform
     candidate, uniform without-replacement probe order) but not draw for
     draw, since the loop's draw count depends on each schedule.
+
+    Within a round a row's state changes only when it accepts a swap, and
+    acceptance ends its probing, so every probe slot is scored at once
+    against the round's starting completion times (the cheap-estimate split
+    of :func:`repro.ga.fitness.swap_completion_delta`: a swap moves only the
+    two processors' execution terms).  Each row then takes its first viable
+    improving slot.  This equals scoring the slots one after another.
     """
     pop, n_tasks = assignments.shape
+    n_procs = completions.shape[1]
     sizes = problem.sizes
     rates = problem.rates
     psi = problem.optimal_time()
+    slots = min(max_probes, n_tasks)
     row_ids = np.arange(pop)
+    row_starts = row_ids * n_tasks
+    slot_ids = np.arange(slots)
+    # Sort keys of the tasks off the heavy processor: above every probe key
+    # in [0, 1), in task order.
+    other_keys = np.arange(2.0, n_tasks + 2.0)
+    # Flat index of each (row, slot) trial row's first element in the
+    # (pop·slots, M) trial matrix.
+    trial_starts = np.arange(0, pop * slots * n_procs, n_procs).reshape(pop, slots)
 
     errors = np.sqrt(np.sum((completions - psi) ** 2, axis=1))
     for _ in range(n_rebalances):
@@ -284,66 +307,55 @@ def rebalance_population(
         heavy_mask = assignments == heavy[:, None]
         heavy_counts = heavy_mask.sum(axis=1)
         other_counts = n_tasks - heavy_counts
-        active = (heavy_counts > 0) & (other_counts > 0)
+        # A row can swap only with tasks both on and off its heavy processor;
+        # its probe slots past this limit are not viable.
+        probe_limit = np.where(other_counts > 0, heavy_counts, 0)
 
         candidate_uniform = rng.random(pop)
         probe_keys = rng.random((pop, n_tasks))
-        if not np.any(active):
+        if not probe_limit.any():
             continue
 
+        # One sort ranks each row's heavy-processor tasks by their random keys
+        # (the probe order) followed by its other tasks in index order.
+        order = np.argsort(np.where(heavy_mask, probe_keys, other_keys), axis=1)
+        probes = order[:, :slots]
+        probe_size = sizes[probes]
         # Candidate: the k-th task (uniform k) not on the heavy processor.
-        k = np.minimum(
-            (candidate_uniform * np.maximum(other_counts, 1)).astype(int),
-            np.maximum(other_counts - 1, 0),
-        )
-        other_running = np.cumsum(~heavy_mask, axis=1)
-        candidate = np.argmax(other_running == (k + 1)[:, None], axis=1)
+        # (Rows without such a task get an arbitrary one; no slot is viable.)
+        k = np.minimum((candidate_uniform * other_counts).astype(int), other_counts - 1)
+        candidate = order.ravel()[row_starts + heavy_counts + k]
         candidate_proc = assignments[row_ids, candidate]
         candidate_size = sizes[candidate]
+        viable = (candidate_size[:, None] < probe_size) & (slot_ids < probe_limit[:, None])
 
-        # Probe order: heavy-processor tasks ranked by their random keys.
-        keyed = np.where(heavy_mask, probe_keys, np.inf)
-        probe_order = np.argsort(keyed, axis=1)
+        # Completion times after each slot's swap, one trial row per slot.
+        delta = candidate_size[:, None] - probe_size
+        trials = np.repeat(completions, slots, axis=0)
+        flat_trials = trials.reshape(-1)
+        flat_trials[trial_starts + heavy[:, None]] += delta / rates[heavy][:, None]
+        flat_trials[trial_starts + candidate_proc[:, None]] -= delta / rates[candidate_proc][:, None]
+        new_errors = np.sqrt(np.sum((trials - psi) ** 2, axis=1)).reshape(pop, slots)
 
-        accepted = np.zeros(pop, dtype=bool)
-        for slot in range(min(max_probes, n_tasks)):
-            probe = probe_order[:, slot]
-            probe_size = sizes[probe]
-            viable = (
-                active
-                & ~accepted
-                & (slot < heavy_counts)
-                & (candidate_size < probe_size)
-            )
-            rows = np.nonzero(viable)[0]
-            if rows.size == 0:
-                continue
-            updated = completions[rows].copy()
-            local = np.arange(rows.size)
-            heavy_rows = heavy[rows]
-            cand_proc_rows = candidate_proc[rows]
-            delta = candidate_size[rows] - probe_size[rows]
-            updated[local, heavy_rows] += delta / rates[heavy_rows]
-            updated[local, cand_proc_rows] -= delta / rates[cand_proc_rows]
-            new_errors = np.sqrt(np.sum((updated - psi) ** 2, axis=1))
-            improved = new_errors < errors[rows]
-            hits = rows[improved]
-            if hits.size == 0:
-                continue
-            probe_tasks = probe[hits]
-            candidate_tasks = candidate[hits]
-            assignments[hits, probe_tasks] = candidate_proc[hits]
-            assignments[hits, candidate_tasks] = heavy[hits]
-            completions[hits] = updated[improved]
-            errors[hits] = new_errors[improved]
-            accepted[hits] = True
-            # Mirror each accepted task swap into the chromosome row: the two
-            # task genes exchange positions, exactly like the loop backend.
-            probe_pos = np.argmax(population[hits] == probe_tasks[:, None], axis=1)
-            cand_pos = np.argmax(population[hits] == candidate_tasks[:, None], axis=1)
-            held = population[hits, probe_pos].copy()
-            population[hits, probe_pos] = population[hits, cand_pos]
-            population[hits, cand_pos] = held
+        improving = viable & (new_errors < errors[:, None])
+        first = np.argmax(improving, axis=1)
+        hits = np.nonzero(improving[row_ids, first])[0]
+        if hits.size == 0:
+            continue
+        hit_slots = first[hits]
+        probe_tasks = probes[hits, hit_slots]
+        candidate_tasks = candidate[hits]
+        assignments[hits, probe_tasks] = candidate_proc[hits]
+        assignments[hits, candidate_tasks] = heavy[hits]
+        completions[hits] = trials[hits * slots + hit_slots]
+        errors[hits] = new_errors[hits, hit_slots]
+        # Mirror each accepted task swap into the chromosome row: the two
+        # task genes exchange positions, exactly like the loop backend.
+        chromosomes = population[hits]
+        probe_pos = np.argmax(chromosomes == probe_tasks[:, None], axis=1)
+        cand_pos = np.argmax(chromosomes == candidate_tasks[:, None], axis=1)
+        population[hits, probe_pos] = candidate_tasks
+        population[hits, cand_pos] = probe_tasks
 
 
 # ---------------------------------------------------------------------------

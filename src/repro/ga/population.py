@@ -10,13 +10,11 @@ explore, but already close to sensible schedules.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from ..util.rng import RNGLike, ensure_rng
 from ..util.validation import require_positive_int, require_probability
-from .encoding import chromosome_from_queues, random_chromosome
+from .encoding import random_chromosome
 from .problem import BatchProblem
 
 __all__ = [
@@ -25,6 +23,41 @@ __all__ = [
     "seeded_population",
     "random_population",
 ]
+
+
+def _list_schedule(
+    problem: BatchProblem, visit: np.ndarray, random_procs: np.ndarray
+) -> np.ndarray:
+    """Run the list-scheduling heuristic for a batch of individuals in lockstep.
+
+    Row ``r`` visits the tasks in the order ``visit[r]``; its first
+    ``random_procs.shape[1]`` tasks go to the drawn processors, each later one
+    to the processor with the earliest projected finish time.  Every
+    individual's finish-time sums accumulate in its own visiting order, so a
+    row is bit-identical to scheduling that individual alone.
+    """
+    pop, n_tasks = visit.shape
+    n_random = random_procs.shape[1]
+    rows = np.arange(pop)[:, None]
+    exec_times = problem.execution_times()
+    comm = problem.comm_costs
+    assignments = np.empty((pop, n_tasks), dtype=int)
+    # Working estimate of each processor's finish time (seconds), per row.
+    finish = np.tile(problem.pending_times(), (pop, 1))
+    random_tasks = visit[:, :n_random]
+    assignments[rows, random_tasks] = random_procs
+    # add.at applies the additions one by one in (row, position) order.
+    np.add.at(
+        finish,
+        (np.broadcast_to(rows, random_procs.shape), random_procs),
+        exec_times[random_tasks, random_procs] + comm[random_procs],
+    )
+    rows = rows[:, 0]
+    for tasks in visit[:, n_random:].T:
+        procs = (finish + exec_times[tasks] + comm).argmin(axis=1)
+        assignments[rows, tasks] = procs
+        finish[rows, procs] += exec_times[tasks, procs] + comm[procs]
+    return assignments
 
 
 def list_scheduled_assignment(
@@ -41,23 +74,34 @@ def list_scheduled_assignment(
     """
     require_probability(random_fraction, "random_fraction")
     gen = ensure_rng(rng)
-    h, m = problem.n_tasks, problem.n_processors
-    order = gen.permutation(h)
-    n_random = int(round(random_fraction * h))
+    visit = gen.permutation(problem.n_tasks)
+    n_random = int(round(random_fraction * problem.n_tasks))
+    random_procs = gen.integers(0, problem.n_processors, size=n_random)
+    return _list_schedule(problem, visit[None, :], random_procs[None, :])[0]
 
-    assignment = np.empty(h, dtype=int)
-    # Working estimate of each processor's finish time (seconds).
-    finish = problem.pending_times().copy()
-    for position, task_index in enumerate(order):
-        size = problem.sizes[task_index]
-        if position < n_random:
-            proc = int(gen.integers(0, m))
-        else:
-            projected = finish + size / problem.rates + problem.comm_costs
-            proc = int(np.argmin(projected))
-        assignment[task_index] = proc
-        finish[proc] += size / problem.rates[proc] + problem.comm_costs[proc]
-    return assignment
+
+def _chromosomes(assignments: np.ndarray, dispatch: np.ndarray, n_processors: int) -> np.ndarray:
+    """Encode each row's queues, ordered by ``dispatch``, as a chromosome row.
+
+    Queue ``j`` holds the tasks assigned to ``j`` in dispatch order and is
+    followed by delimiter ``-(j+1)``, as in
+    :func:`repro.ga.encoding.chromosome_from_queues`.
+    """
+    pop, n_tasks = assignments.shape
+    rows = np.arange(pop)[:, None]
+    procs = assignments[rows, dispatch]
+    order = procs.argsort(axis=1, kind="stable")
+    procs = procs[rows, order]
+    # The k-th task in queue order sits after k tasks and `proc` delimiters.
+    chromosomes = np.empty((pop, n_tasks + n_processors - 1), dtype=int)
+    chromosomes[rows, np.arange(n_tasks) + procs] = dispatch[rows, order]
+    if n_processors > 1:
+        counts = np.bincount(
+            (procs + rows * n_processors).ravel(), minlength=pop * n_processors
+        ).reshape(pop, n_processors)
+        delimiter_pos = counts.cumsum(axis=1)[:, :-1] + np.arange(n_processors - 1)
+        chromosomes[rows, delimiter_pos] = -np.arange(1, n_processors)
+    return chromosomes
 
 
 def seeded_individual(
@@ -67,17 +111,10 @@ def seeded_individual(
 ) -> np.ndarray:
     """One chromosome built from the list-scheduling heuristic.
 
-    Queue order follows the random visiting order of the heuristic, so two
-    individuals with the same assignment still differ as chromosomes.
+    Queue order follows a second random permutation (the dispatch order), so
+    two individuals with the same assignment still differ as chromosomes.
     """
-    gen = ensure_rng(rng)
-    assignment = list_scheduled_assignment(problem, random_fraction, gen)
-    # Build queues preserving a random dispatch order within each queue.
-    order = gen.permutation(problem.n_tasks)
-    queues: List[List[int]] = [[] for _ in range(problem.n_processors)]
-    for task_index in order:
-        queues[int(assignment[task_index])].append(int(task_index))
-    return chromosome_from_queues(queues, problem.n_tasks)
+    return seeded_population(problem, 1, random_fraction, rng)[0]
 
 
 def seeded_population(
@@ -86,13 +123,27 @@ def seeded_population(
     random_fraction: float = 0.5,
     rng: RNGLike = None,
 ) -> np.ndarray:
-    """A population matrix (``population_size`` × chromosome length) of seeded individuals."""
+    """A population matrix (``population_size`` × chromosome length) of seeded individuals.
+
+    Each individual draws, in turn, its visiting order, its random
+    processors and its dispatch order; the heuristic then runs for all of
+    them at once.
+    """
     population_size = require_positive_int(population_size, "population_size")
+    require_probability(random_fraction, "random_fraction")
     gen = ensure_rng(rng)
-    individuals = [
-        seeded_individual(problem, random_fraction, gen) for _ in range(population_size)
-    ]
-    return np.vstack(individuals)
+    n_tasks, n_processors = problem.n_tasks, problem.n_processors
+    n_random = int(round(random_fraction * n_tasks))
+    # Shuffling a row of 0..H-1 in place draws exactly as gen.permutation(H).
+    visit = np.tile(np.arange(n_tasks), (population_size, 1))
+    dispatch = visit.copy()
+    random_procs = np.empty((population_size, n_random), dtype=int)
+    for row in range(population_size):
+        gen.shuffle(visit[row])
+        random_procs[row] = gen.integers(0, n_processors, size=n_random)
+        gen.shuffle(dispatch[row])
+    assignments = _list_schedule(problem, visit, random_procs)
+    return _chromosomes(assignments, dispatch, n_processors)
 
 
 def random_population(

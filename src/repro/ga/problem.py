@@ -9,6 +9,7 @@ estimated per-task communication cost of each processor's link.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,9 +20,12 @@ from ..workloads.task import Task
 __all__ = ["BatchProblem"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BatchProblem:
     """Immutable description of one batch-mapping problem.
+
+    The fields are private read-only copies of the arrays passed in, so the
+    derived quantities below can be computed once per problem and cached.
 
     Attributes
     ----------
@@ -49,11 +53,18 @@ class BatchProblem:
     comm_costs: np.ndarray
 
     def __post_init__(self) -> None:
-        self.task_ids = np.asarray(self.task_ids, dtype=int)
-        self.sizes = np.asarray(self.sizes, dtype=float)
-        self.rates = np.asarray(self.rates, dtype=float)
-        self.pending_loads = np.asarray(self.pending_loads, dtype=float)
-        self.comm_costs = np.asarray(self.comm_costs, dtype=float)
+        for name, dtype in (
+            ("task_ids", int),
+            ("sizes", float),
+            ("rates", float),
+            ("pending_loads", float),
+            ("comm_costs", float),
+        ):
+            # Copy before freezing: the caller's array (say, the master's
+            # pending loads) must stay writeable.
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
         if self.task_ids.ndim != 1 or self.sizes.shape != self.task_ids.shape:
             raise ConfigurationError("task_ids and sizes must be 1-D arrays of equal length")
@@ -74,6 +85,14 @@ class BatchProblem:
             raise ConfigurationError("all processor rates must be strictly positive")
         if np.any(self.pending_loads < 0) or np.any(self.comm_costs < 0):
             raise ConfigurationError("pending loads and comm costs must be non-negative")
+
+    def __reduce__(self):
+        # Unpickle through __init__, so the copy is frozen again and rebuilds
+        # its caches on demand.
+        return (
+            type(self),
+            (self.task_ids, self.sizes, self.rates, self.pending_loads, self.comm_costs),
+        )
 
     # -- factory --------------------------------------------------------------------
     @classmethod
@@ -110,10 +129,16 @@ class BatchProblem:
         """Number of processors ``M``."""
         return int(self.rates.shape[0])
 
-    # -- derived quantities -----------------------------------------------------------
+    # -- derived quantities (cached: the problem is immutable) ---------------------
     def pending_times(self) -> np.ndarray:
-        """``δ_j = L_j / P_j``: seconds of already-queued work per processor."""
-        return self.pending_loads / self.rates
+        """``δ_j = L_j / P_j``: seconds of already-queued work per processor (read-only)."""
+        return self._pending_times
+
+    @cached_property
+    def _pending_times(self) -> np.ndarray:
+        pending = self.pending_loads / self.rates
+        pending.setflags(write=False)
+        return pending
 
     def optimal_time(self) -> float:
         """The paper's theoretical optimum ``ψ``.
@@ -121,7 +146,30 @@ class BatchProblem:
         ``ψ = (Σ_i t_i / Σ_j P_j) + Σ_j δ_j`` — the makespan of a perfectly
         divisible, communication-free schedule on top of the existing load.
         """
+        return self._optimal_time
+
+    @cached_property
+    def _optimal_time(self) -> float:
         return float(self.sizes.sum() / self.rates.sum() + self.pending_times().sum())
+
+    @cached_property
+    def task_costs(self) -> np.ndarray:
+        """Read-only ``(H, M)`` table of ``t_i / P_j + Γ_c(·, j)``.
+
+        Entry ``[i, j]`` is the seconds task ``i`` adds to processor ``j``'s
+        completion time, so fitness evaluation is one gather from this table
+        (at flat index ``i·M + j``) plus one ``bincount``.
+        """
+        costs = self.sizes[:, None] / self.rates[None, :] + self.comm_costs[None, :]
+        costs.setflags(write=False)
+        return costs
+
+    @cached_property
+    def task_cost_offsets(self) -> np.ndarray:
+        """Read-only ``(H,)`` row offsets ``i·M`` into the flattened :attr:`task_costs`."""
+        offsets = np.arange(self.n_tasks) * self.n_processors
+        offsets.setflags(write=False)
+        return offsets
 
     def lower_bound_makespan(self) -> float:
         """A simple makespan lower bound: max of ψ-style balance and the largest task."""
@@ -138,10 +186,10 @@ class BatchProblem:
         Used by the ZO baseline, which does not predict communication costs.
         """
         return BatchProblem(
-            task_ids=self.task_ids.copy(),
-            sizes=self.sizes.copy(),
-            rates=self.rates.copy(),
-            pending_loads=self.pending_loads.copy(),
+            task_ids=self.task_ids,
+            sizes=self.sizes,
+            rates=self.rates,
+            pending_loads=self.pending_loads,
             comm_costs=np.zeros_like(self.comm_costs),
         )
 

@@ -1,6 +1,6 @@
 """Tests for the population-batched GA operator kernels (`repro.ga.kernels`).
 
-Three layers of guarantees are covered:
+Four layers of guarantees are covered:
 
 * **bit-identical backend parity** — for a fixed seed, the loop and
   vectorized backends produce identical results wherever the operators are
@@ -13,7 +13,11 @@ Three layers of guarantees are covered:
   the per-individual operators;
 * **statistical equivalence** — the vectorized re-balancing heuristic, whose
   random draws are value-dependent and therefore not stream-identical to the
-  loop implementation, matches it in aggregate effect.
+  loop implementation, matches it in aggregate effect;
+* **kernel bit identity** (hypothesis) — each whole-population kernel equals
+  a short per-row reference written out below (the sequential cycle walk,
+  per-row completion sums, the slot-by-slot rebalance on the vectorized
+  draw layout), down to the last bit and the RNG state afterwards.
 """
 
 import numpy as np
@@ -24,6 +28,7 @@ from hypothesis import strategies as st
 from repro.ga import (
     BatchProblem,
     GAConfig,
+    completion_times,
     GeneticAlgorithm,
     LoopBackend,
     VectorizedBackend,
@@ -51,6 +56,17 @@ def random_problem(rng, n_tasks, n_procs):
     return BatchProblem(
         task_ids=np.arange(n_tasks),
         sizes=rng.uniform(1.0, 1000.0, n_tasks),
+        rates=rng.uniform(10.0, 500.0, n_procs),
+        pending_loads=rng.uniform(0.0, 500.0, n_procs),
+        comm_costs=rng.uniform(0.0, 2.0, n_procs),
+    )
+
+
+def tie_heavy_problem(rng, n_tasks, n_procs):
+    """Task sizes from three values, so strict size comparisons meet ties."""
+    return BatchProblem(
+        task_ids=np.arange(n_tasks),
+        sizes=100.0 * rng.integers(1, 4, n_tasks),
         rates=rng.uniform(10.0, 500.0, n_procs),
         pending_loads=rng.uniform(0.0, 500.0, n_procs),
         comm_costs=rng.uniform(0.0, 2.0, n_procs),
@@ -374,3 +390,155 @@ class TestBackendParity:
         assert result.best_makespan <= result.initial_best_makespan + 1e-9
         recomputed = evaluate_assignments(result.best_assignment, problem)
         assert result.best_makespan == pytest.approx(recomputed.makespans[0])
+
+
+# ---------------------------------------------------------------------------
+# Per-row references for the bit-identity properties
+# ---------------------------------------------------------------------------
+
+def reference_cycle_labels(a, b):
+    """Walk each row's cycles from ascending start positions, numbering them."""
+    labels = np.full(a.shape, -1, dtype=int)
+    for row in range(a.shape[0]):
+        position_in_a = {int(symbol): pos for pos, symbol in enumerate(a[row])}
+        rank = 0
+        for start in range(a.shape[1]):
+            if labels[row, start] >= 0:
+                continue
+            pos = start
+            while labels[row, pos] < 0:
+                labels[row, pos] = rank
+                pos = position_in_a[int(b[row, pos])]
+            rank += 1
+    return labels
+
+
+def reference_completions(assignments, problem):
+    """Per-row completion times, summed task by task in ascending index order."""
+    out = np.empty((assignments.shape[0], problem.n_processors))
+    for row, assignment in enumerate(assignments):
+        sums = np.zeros(problem.n_processors)
+        for task, proc in enumerate(assignment):
+            sums[proc] += problem.sizes[task] / problem.rates[proc] + problem.comm_costs[proc]
+        out[row] = problem.pending_loads / problem.rates + sums
+    return out
+
+
+def reference_rebalance(population, assignments, completions, problem, n_rebalances, rng, max_probes):
+    """The vectorized rebalance, one row and one probe slot at a time.
+
+    Same draws (one ``rng.random(pop)`` for the candidates, then one
+    ``rng.random((pop, n_tasks))`` probe-key block per round), same accept
+    test, same in-place updates of all three matrices.
+    """
+    pop, n_tasks = assignments.shape
+    sizes, rates = problem.sizes, problem.rates
+    psi = problem.optimal_time()
+    errors = [np.sqrt(np.sum((completions[row] - psi) ** 2)) for row in range(pop)]
+    for _ in range(n_rebalances):
+        candidate_uniform = rng.random(pop)
+        probe_keys = rng.random((pop, n_tasks))
+        for row in range(pop):
+            heavy = int(np.argmax(completions[row]))
+            heavy_tasks = np.nonzero(assignments[row] == heavy)[0]
+            other_tasks = np.nonzero(assignments[row] != heavy)[0]
+            if heavy_tasks.size == 0 or other_tasks.size == 0:
+                continue
+            k = min(int(candidate_uniform[row] * other_tasks.size), other_tasks.size - 1)
+            candidate = int(other_tasks[k])
+            candidate_proc = int(assignments[row, candidate])
+            probes = heavy_tasks[np.argsort(probe_keys[row, heavy_tasks])]
+            for probe in probes[:max_probes]:
+                probe = int(probe)
+                if not sizes[candidate] < sizes[probe]:
+                    continue
+                delta = sizes[candidate] - sizes[probe]
+                updated = completions[row].copy()
+                updated[heavy] += delta / rates[heavy]
+                updated[candidate_proc] -= delta / rates[candidate_proc]
+                new_error = np.sqrt(np.sum((updated - psi) ** 2))
+                if not new_error < errors[row]:
+                    continue
+                assignments[row, probe] = candidate_proc
+                assignments[row, candidate] = heavy
+                completions[row] = updated
+                errors[row] = new_error
+                chromosome = population[row]
+                probe_pos = int(np.argmax(chromosome == probe))
+                cand_pos = int(np.argmax(chromosome == candidate))
+                chromosome[probe_pos], chromosome[cand_pos] = candidate, probe
+                break
+
+
+shapes = dict(
+    n_tasks=st.integers(min_value=1, max_value=30),
+    n_procs=st.integers(min_value=1, max_value=10),
+    pop=st.integers(min_value=1, max_value=12),
+    tie_heavy=st.booleans(),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+
+
+def build_case(n_tasks, n_procs, pop, tie_heavy, seed):
+    rng = np.random.default_rng(seed)
+    make = tie_heavy_problem if tie_heavy else random_problem
+    problem = make(rng, n_tasks, n_procs)
+    return problem, random_population(problem, pop, rng=rng)
+
+
+class TestKernelBitIdentity:
+    @given(**shapes)
+    @settings(max_examples=60, deadline=None)
+    def test_cycle_labels_and_children_equal_sequential_walk(
+        self, n_tasks, n_procs, pop, tie_heavy, seed
+    ):
+        _, population = build_case(n_tasks, n_procs, 2 * pop, tie_heavy, seed)
+        a, b = population[0::2], population[1::2]
+        assert np.array_equal(cycle_labels(a, b), reference_cycle_labels(a, b))
+        child_a, child_b = cycle_crossover_batch(a, b)
+        for row in range(pop):
+            expected_a, expected_b = CycleCrossover().cross(a[row], b[row])
+            assert np.array_equal(child_a[row], expected_a)
+            assert np.array_equal(child_b[row], expected_b)
+
+    @given(**shapes)
+    @settings(max_examples=60, deadline=None)
+    def test_completions_and_fitness_equal_per_row_sums(
+        self, n_tasks, n_procs, pop, tie_heavy, seed
+    ):
+        problem, population = build_case(n_tasks, n_procs, pop, tie_heavy, seed)
+        assignments = decode_population(population, n_tasks, n_procs)
+        expected = reference_completions(assignments, problem)
+        assert np.array_equal(completion_times(assignments, problem), expected)
+        result = evaluate_assignments(assignments, problem)
+        assert np.array_equal(result.completions, expected)
+        psi = problem.optimal_time()
+        errors = np.array([np.sqrt(np.sum((row - psi) ** 2)) for row in expected])
+        assert np.array_equal(result.errors, errors)
+        assert np.array_equal(result.makespans, expected.max(axis=1))
+
+    @given(
+        **shapes,
+        n_rebalances=st.integers(min_value=1, max_value=6),
+        max_probes=st.integers(min_value=1, max_value=12),
+    )
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_rebalance_equals_slot_by_slot_reference(
+        self, n_tasks, n_procs, pop, tie_heavy, seed, n_rebalances, max_probes
+    ):
+        problem, population = build_case(n_tasks, n_procs, pop, tie_heavy, seed)
+        assignments = decode_population(population, n_tasks, n_procs)
+        completions = evaluate_assignments(assignments, problem).completions
+        got = [population.copy(), assignments.copy(), completions.copy()]
+        expected = [population.copy(), assignments.copy(), completions.copy()]
+        got_rng = np.random.default_rng(seed + 1)
+        expected_rng = np.random.default_rng(seed + 1)
+        rebalance_population(
+            *got, problem, n_rebalances, got_rng, max_probes=max_probes
+        )
+        reference_rebalance(
+            *expected, problem, n_rebalances, expected_rng, max_probes
+        )
+        for got_matrix, expected_matrix in zip(got, expected):
+            assert np.array_equal(got_matrix, expected_matrix)
+        assert got_rng.bit_generator.state == expected_rng.bit_generator.state
