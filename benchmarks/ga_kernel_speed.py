@@ -3,8 +3,11 @@
 
 Runs the same seeded `GeneticAlgorithm.evolve` once per kernel backend on a
 representative batch problem and reports how many GA generations each backend
-sustains per second.  Two preset sizes are built in:
+sustains per second.  Three preset sizes are built in:
 
+* ``inflight`` — the shape of the GA runs inside the figure simulations
+  (population 20, 10 tasks, 10 processors, 40 generations): every in-sim
+  batch of the ``small`` figure suite has this shape;
 * ``smoke`` — a CI-sized problem (population 20, 80 tasks, 5 processors);
 * ``paper`` — the paper-scale hot path (population 50, 200 tasks,
   20 processors).
@@ -51,6 +54,9 @@ class KernelScale:
 
 
 SCALES: Dict[str, KernelScale] = {
+    "inflight": KernelScale(
+        name="inflight", population_size=20, n_tasks=10, n_processors=10, generations=40
+    ),
     "smoke": KernelScale(
         name="smoke", population_size=20, n_tasks=80, n_processors=5, generations=60
     ),

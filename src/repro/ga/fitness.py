@@ -75,7 +75,7 @@ class FitnessResult:
     @property
     def best_index(self) -> int:
         """Index of the individual with the lowest makespan (paper Sect. 3.4)."""
-        return int(np.argmin(self.makespans))
+        return int(self.makespans.argmin())
 
     @property
     def best_makespan(self) -> float:
@@ -105,7 +105,9 @@ def completion_times(assignments: np.ndarray, problem: BatchProblem) -> np.ndarr
     numpy.ndarray
         Matrix of shape ``(P, M)`` of estimated completion times in seconds.
     """
-    assignments = np.atleast_2d(np.asarray(assignments, dtype=int))
+    assignments = np.asarray(assignments, dtype=int)
+    if assignments.ndim != 2:
+        assignments = np.atleast_2d(assignments)
     pop, h = assignments.shape
     if h != problem.n_tasks:
         raise ConfigurationError(
@@ -129,7 +131,7 @@ def evaluate_assignments(assignments: np.ndarray, problem: BatchProblem) -> Fitn
     completions = completion_times(assignments, problem)
     psi = problem.optimal_time()
     deviations = completions - psi
-    errors = np.sqrt(np.sum(deviations**2, axis=1))
+    errors = np.sqrt((deviations**2).sum(axis=1))
     fitness = 1.0 / np.maximum(errors, ERROR_FLOOR)
     makespans = completions.max(axis=1)
     return FitnessResult(

@@ -106,6 +106,12 @@ def draw_swap_positions(
     return i, j
 
 
+def _int_rows(matrix: np.ndarray) -> np.ndarray:
+    """*matrix* as a 2-D integer array (a 1-D input becomes one row)."""
+    matrix = np.asarray(matrix, dtype=int)
+    return matrix if matrix.ndim == 2 else np.atleast_2d(matrix)
+
+
 # ---------------------------------------------------------------------------
 # Batched decoding
 # ---------------------------------------------------------------------------
@@ -121,7 +127,7 @@ def decode_population(
     genes.  Rows must be valid chromosomes (permutations of the task indices
     plus the distinct negative delimiters).
     """
-    population = np.atleast_2d(np.asarray(population, dtype=int))
+    population = _int_rows(population)
     pop, length = population.shape
     if length != n_tasks + n_processors - 1:
         raise EncodingError(
@@ -130,10 +136,10 @@ def decode_population(
     delimiter = population < 0
     # Inclusive delimiter count: for a task gene it is the number of
     # delimiters before it, i.e. its processor index.
-    proc_of_gene = np.cumsum(delimiter, axis=1)
+    proc_of_gene = delimiter.cumsum(axis=1)
     # M - 1 delimiters in every row means H task genes in every row, none of
     # them assigned beyond the last processor.
-    if length and np.any(proc_of_gene[:, -1] != n_processors - 1):
+    if length and (proc_of_gene[:, -1] != n_processors - 1).any():
         raise EncodingError("every row must contain exactly H task genes and M - 1 delimiters")
     task_mask = ~delimiter
     task_genes = population[task_mask]
@@ -144,7 +150,7 @@ def decode_population(
     assignments = np.full(pop * n_tasks, -1, dtype=int)
     assignments[flat.ravel()] = proc_of_gene[task_mask]
     assignments = assignments.reshape(pop, n_tasks)
-    if np.any(assignments < 0):
+    if (assignments < 0).any():
         raise EncodingError("chromosome rows do not cover every task index")
     return assignments
 
@@ -165,15 +171,15 @@ def cycle_labels(parents_a: np.ndarray, parents_b: np.ndarray) -> np.ndarray:
     number.
 
     The cycle structure is found without any per-pair Python work: the
-    permutation is composed with itself (pointer doubling) ``ceil(log2 L)``
+    permutation is composed with itself (pointer doubling) ``ceil(log2(L - 1))``
     times while tracking the minimum position reached, which labels every
     position with its cycle's minimum in ``O(K·L·log L)``.  Pointers are
     flat indices into the ``K·L`` positions (``row·L + position``), so each
     step is two plain gathers; a row's flat indices keep its position order,
     so the minimum is the same as per row.
     """
-    a = np.atleast_2d(np.asarray(parents_a, dtype=int))
-    b = np.atleast_2d(np.asarray(parents_b, dtype=int))
+    a = _int_rows(parents_a)
+    b = _int_rows(parents_b)
     if a.shape != b.shape:
         raise EncodingError("parent batches must have identical shapes")
     k, length = a.shape
@@ -189,9 +195,10 @@ def cycle_labels(parents_a: np.ndarray, parents_b: np.ndarray) -> np.ndarray:
     # Flat position in a of the symbol at each flat position of b.
     pointer = flat_position_of_symbol[(b + symbol_base).ravel()]
 
+    # After j steps each minimum spans 2**j + 1 consecutive cycle positions,
+    # enough for the longest possible cycle (L) once 2**j >= L - 1.
     cycle_min = np.minimum(positions, pointer)
-    steps = max(int(np.ceil(np.log2(length))), 1) if length > 1 else 0
-    for _ in range(steps):
+    for _ in range(max(length - 2, 0).bit_length()):
         cycle_min = np.minimum(cycle_min, cycle_min[pointer])
         pointer = pointer[pointer]
 
@@ -199,7 +206,7 @@ def cycle_labels(parents_a: np.ndarray, parents_b: np.ndarray) -> np.ndarray:
     # ranking the representatives in position order numbers the cycles exactly
     # as the sequential scan discovers them.
     is_representative = (cycle_min == positions).reshape(k, length)
-    discovery_rank = np.cumsum(is_representative, axis=1) - 1
+    discovery_rank = is_representative.cumsum(axis=1) - 1
     return discovery_rank.ravel()[cycle_min].reshape(k, length)
 
 
@@ -213,10 +220,9 @@ def cycle_crossover_batch(
     permutations of a common symbol set (not re-validated here — the engine
     maintains this invariant).
     """
-    a = np.atleast_2d(np.asarray(parents_a, dtype=int))
-    b = np.atleast_2d(np.asarray(parents_b, dtype=int))
-    labels = cycle_labels(a, b)
-    swap = labels % 2 == 1
+    a = _int_rows(parents_a)
+    b = _int_rows(parents_b)
+    swap = cycle_labels(a, b) & 1
     child_a = np.where(swap, b, a)
     child_b = np.where(swap, a, b)
     return child_a, child_b
@@ -242,7 +248,7 @@ def swap_positions_batch(
     for swap in range(i_pos.shape[1]):
         i = i_pos[:, swap]
         j = j_pos[:, swap]
-        held = population[rows, i].copy()
+        held = population[rows, i]
         population[rows, i] = population[rows, j]
         population[rows, j] = held
 
@@ -301,9 +307,9 @@ def rebalance_population(
     # (pop·slots, M) trial matrix.
     trial_starts = np.arange(0, pop * slots * n_procs, n_procs).reshape(pop, slots)
 
-    errors = np.sqrt(np.sum((completions - psi) ** 2, axis=1))
+    errors = np.sqrt(((completions - psi) ** 2).sum(axis=1))
     for _ in range(n_rebalances):
-        heavy = np.argmax(completions, axis=1)
+        heavy = completions.argmax(axis=1)
         heavy_mask = assignments == heavy[:, None]
         heavy_counts = heavy_mask.sum(axis=1)
         other_counts = n_tasks - heavy_counts
@@ -318,7 +324,7 @@ def rebalance_population(
 
         # One sort ranks each row's heavy-processor tasks by their random keys
         # (the probe order) followed by its other tasks in index order.
-        order = np.argsort(np.where(heavy_mask, probe_keys, other_keys), axis=1)
+        order = np.where(heavy_mask, probe_keys, other_keys).argsort(axis=1)
         probes = order[:, :slots]
         probe_size = sizes[probes]
         # Candidate: the k-th task (uniform k) not on the heavy processor.
@@ -331,15 +337,15 @@ def rebalance_population(
 
         # Completion times after each slot's swap, one trial row per slot.
         delta = candidate_size[:, None] - probe_size
-        trials = np.repeat(completions, slots, axis=0)
+        trials = completions.repeat(slots, axis=0)
         flat_trials = trials.reshape(-1)
         flat_trials[trial_starts + heavy[:, None]] += delta / rates[heavy][:, None]
         flat_trials[trial_starts + candidate_proc[:, None]] -= delta / rates[candidate_proc][:, None]
-        new_errors = np.sqrt(np.sum((trials - psi) ** 2, axis=1)).reshape(pop, slots)
+        new_errors = np.sqrt(((trials - psi) ** 2).sum(axis=1)).reshape(pop, slots)
 
         improving = viable & (new_errors < errors[:, None])
-        first = np.argmax(improving, axis=1)
-        hits = np.nonzero(improving[row_ids, first])[0]
+        first = improving.argmax(axis=1)
+        hits = improving[row_ids, first].nonzero()[0]
         if hits.size == 0:
             continue
         hit_slots = first[hits]
@@ -352,8 +358,8 @@ def rebalance_population(
         # Mirror each accepted task swap into the chromosome row: the two
         # task genes exchange positions, exactly like the loop backend.
         chromosomes = population[hits]
-        probe_pos = np.argmax(chromosomes == probe_tasks[:, None], axis=1)
-        cand_pos = np.argmax(chromosomes == candidate_tasks[:, None], axis=1)
+        probe_pos = (chromosomes == probe_tasks[:, None]).argmax(axis=1)
+        cand_pos = (chromosomes == candidate_tasks[:, None]).argmax(axis=1)
         population[hits, probe_pos] = candidate_tasks
         population[hits, cand_pos] = probe_tasks
 
@@ -405,7 +411,7 @@ class KernelBackend(ABC):
         if n_pairs == 0:
             return parents
         gates = rng.random(n_pairs)  # contract stage 2: one block
-        crossing = np.nonzero(gates < rate)[0]
+        crossing = (gates < rate).nonzero()[0]
         if crossing.size:
             self._apply_crossover(parents, crossing, operator, rng)
         return parents
@@ -420,7 +426,7 @@ class KernelBackend(ABC):
         """Swap-mutate individuals in place, gated per individual by *rate*."""
         pop, length = population.shape
         gates = rng.random(pop)  # contract stage 4: one block
-        rows = np.nonzero(gates < rate)[0]
+        rows = (gates < rate).nonzero()[0]
         if rows.size == 0 or length < 2 or n_swaps == 0:
             return population
         i_pos, j_pos = draw_swap_positions(rng, rows.size, n_swaps, length)

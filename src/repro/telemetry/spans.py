@@ -353,6 +353,24 @@ def traced(name: Optional[str] = None) -> Callable:
     return decorate
 
 
+class _PhaseMeasure:
+    """The context manager of :meth:`PhaseTimer.measure` (a class: the GA
+    engine opens several per generation, and this is cheaper than a
+    generator-based one)."""
+
+    __slots__ = ("_timer", "_name", "_start")
+
+    def __init__(self, timer: "PhaseTimer", name: str) -> None:
+        self._timer = timer
+        self._name = name
+
+    def __enter__(self) -> None:
+        self._start = time.perf_counter()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._timer.record(self._name, time.perf_counter() - self._start)
+
+
 class PhaseTimer:
     """Accumulate named phase durations, then flush them as one span subtree.
 
@@ -376,14 +394,9 @@ class PhaseTimer:
         self.totals[name] = self.totals.get(name, 0.0) + float(seconds)
         self.counts[name] = self.counts.get(name, 0) + 1
 
-    @contextmanager
-    def measure(self, name: str) -> Iterator[None]:
+    def measure(self, name: str) -> "_PhaseMeasure":
         """Context manager recording the wall time of its body under *name*."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.record(name, time.perf_counter() - start)
+        return _PhaseMeasure(self, name)
 
     def total(self, name: str) -> float:
         """Total seconds recorded under *name* (0.0 if never recorded)."""

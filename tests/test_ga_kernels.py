@@ -17,7 +17,8 @@ Four layers of guarantees are covered:
 * **kernel bit identity** (hypothesis) — each whole-population kernel equals
   a short per-row reference written out below (the sequential cycle walk,
   per-row completion sums, the slot-by-slot rebalance on the vectorized
-  draw layout), down to the last bit and the RNG state afterwards.
+  draw layout, one-task-at-a-time list-scheduling seeding), down to the
+  last bit and the RNG state afterwards.
 """
 
 import numpy as np
@@ -46,7 +47,8 @@ from repro.ga import (
 from repro.ga.crossover import CycleCrossover, OrderCrossover, PartiallyMappedCrossover
 from repro.ga.kernels import cycle_labels
 from repro.ga.mutation import apply_position_swaps
-from repro.ga.population import random_population
+from repro.ga.encoding import chromosome_from_queues
+from repro.ga.population import random_population, seeded_population
 from repro.util.errors import ConfigurationError
 
 BACKENDS = ["loop", "vectorized"]
@@ -63,13 +65,15 @@ def random_problem(rng, n_tasks, n_procs):
 
 
 def tie_heavy_problem(rng, n_tasks, n_procs):
-    """Task sizes from three values, so strict size comparisons meet ties."""
+    """Sizes from three values and rates from two, no pending load or comm
+    cost: strict size tests, error comparisons and earliest-finish picks all
+    meet exact ties."""
     return BatchProblem(
         task_ids=np.arange(n_tasks),
         sizes=100.0 * rng.integers(1, 4, n_tasks),
-        rates=rng.uniform(10.0, 500.0, n_procs),
-        pending_loads=rng.uniform(0.0, 500.0, n_procs),
-        comm_costs=rng.uniform(0.0, 2.0, n_procs),
+        rates=100.0 * rng.integers(1, 3, n_procs),
+        pending_loads=np.zeros(n_procs),
+        comm_costs=np.zeros(n_procs),
     )
 
 
@@ -470,6 +474,30 @@ def reference_rebalance(population, assignments, completions, problem, n_rebalan
                 break
 
 
+def reference_seeded_population(problem, pop, random_fraction, rng):
+    """List-scheduling seeding, one individual and one task at a time."""
+    h, m = problem.n_tasks, problem.n_processors
+    rows = []
+    for _ in range(pop):
+        order = rng.permutation(h)
+        n_random = int(round(random_fraction * h))
+        assignment = np.empty(h, dtype=int)
+        finish = problem.pending_times().copy()
+        for position, task in enumerate(order):
+            size = problem.sizes[task]
+            if position < n_random:
+                proc = int(rng.integers(0, m))
+            else:
+                proc = int(np.argmin(finish + size / problem.rates + problem.comm_costs))
+            assignment[task] = proc
+            finish[proc] += size / problem.rates[proc] + problem.comm_costs[proc]
+        queues = [[] for _ in range(m)]
+        for task in rng.permutation(h):
+            queues[assignment[task]].append(int(task))
+        rows.append(chromosome_from_queues(queues, h))
+    return np.vstack(rows)
+
+
 shapes = dict(
     n_tasks=st.integers(min_value=1, max_value=30),
     n_procs=st.integers(min_value=1, max_value=10),
@@ -541,4 +569,17 @@ class TestKernelBitIdentity:
         )
         for got_matrix, expected_matrix in zip(got, expected):
             assert np.array_equal(got_matrix, expected_matrix)
+        assert got_rng.bit_generator.state == expected_rng.bit_generator.state
+
+    @given(**shapes, random_fraction=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_seeded_population_equals_one_at_a_time_seeding(
+        self, n_tasks, n_procs, pop, tie_heavy, seed, random_fraction
+    ):
+        problem, _ = build_case(n_tasks, n_procs, pop, tie_heavy, seed)
+        got_rng = np.random.default_rng(seed + 1)
+        expected_rng = np.random.default_rng(seed + 1)
+        got = seeded_population(problem, pop, random_fraction, got_rng)
+        expected = reference_seeded_population(problem, pop, random_fraction, expected_rng)
+        assert np.array_equal(got, expected)
         assert got_rng.bit_generator.state == expected_rng.bit_generator.state

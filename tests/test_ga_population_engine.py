@@ -205,6 +205,21 @@ class TestGeneticAlgorithm:
         assert result.timings.total("fitness") > 0
         assert result.timings.total("selection") > 0
 
+    def test_each_phase_timed_under_its_own_name(self, small_problem):
+        """The post-rebalance evaluation counts as fitness, not rebalance."""
+        plain = GeneticAlgorithm(
+            quick_config(max_generations=6, n_rebalances=0), rng=0
+        ).evolve(small_problem)
+        assert plain.timings.total("rebalance") == 0.0
+        assert plain.timings.count("rebalance") == 0
+        assert plain.timings.count("fitness") == plain.generations
+
+        rebalanced = GeneticAlgorithm(
+            quick_config(max_generations=6, n_rebalances=2), rng=0
+        ).evolve(small_problem)
+        assert rebalanced.timings.count("rebalance") == rebalanced.generations
+        assert rebalanced.timings.count("fitness") == 2 * rebalanced.generations
+
     def test_single_processor_problem(self):
         problem = BatchProblem(
             task_ids=np.arange(5),

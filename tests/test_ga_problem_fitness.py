@@ -1,5 +1,8 @@
 """Tests for the batch problem and the relative-error fitness function."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +91,49 @@ class TestBatchProblem:
     def test_empty_batch_rejected(self):
         with pytest.raises(ConfigurationError):
             make_problem([], [1.0])
+
+    def test_fields_and_arrays_are_immutable(self):
+        problem = make_problem([100.0, 200.0], [10.0, 20.0], pending=[5.0, 0.0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            problem.sizes = np.array([1.0, 1.0])
+        for name in ("task_ids", "sizes", "rates", "pending_loads", "comm_costs"):
+            with pytest.raises(ValueError):
+                getattr(problem, name)[0] = 1
+        with pytest.raises(ValueError):
+            problem.pending_times()[0] = 0.0
+        with pytest.raises(ValueError):
+            problem.task_costs[0, 0] = 0.0
+
+    def test_caller_arrays_stay_writeable_and_are_not_aliased(self):
+        pending = np.array([50.0, 0.0])
+        sizes = np.array([100.0, 200.0])
+        problem = BatchProblem(
+            task_ids=np.arange(2),
+            sizes=sizes,
+            rates=np.array([10.0, 20.0]),
+            pending_loads=pending,
+            comm_costs=np.zeros(2),
+        )
+        assert pending.flags.writeable and sizes.flags.writeable
+        pending[0] = 1000.0
+        sizes[0] = 1.0
+        assert problem.pending_loads.tolist() == [50.0, 0.0]
+        assert problem.sizes.tolist() == [100.0, 200.0]
+        assert problem.pending_times().tolist() == [5.0, 0.0]
+
+    def test_pickle_round_trip_stays_frozen(self):
+        problem = make_problem([100.0, 200.0], [10.0, 20.0], comm=[1.0, 2.0])
+        problem.task_costs  # populate the cache before pickling
+        clone = pickle.loads(pickle.dumps(problem))
+        assert np.array_equal(clone.task_costs, problem.task_costs)
+        assert clone.optimal_time() == problem.optimal_time()
+        with pytest.raises(ValueError):
+            clone.sizes[0] = 1.0
+
+    def test_task_costs_table(self):
+        problem = make_problem([100.0, 50.0], [10.0, 100.0], comm=[1.0, 0.5])
+        expected = problem.execution_times() + problem.comm_costs[None, :]
+        assert np.array_equal(problem.task_costs, expected)
 
 
 class TestCompletionTimes:
