@@ -18,10 +18,11 @@ error and maximal fitness.  The makespan of an individual is
 drives selection.
 
 Evaluation is vectorised over the whole population: the population is
-represented as an integer matrix of task→processor assignments and the
-per-processor completion times are accumulated with one ``bincount`` per
-call, which is what makes the scaled-down paper experiments tractable in
-pure Python.
+represented as an integer matrix of task→processor assignments, each task's
+contribution is gathered from the problem's cached ``(H, M)`` cost table
+(:attr:`BatchProblem.task_costs`) and the per-processor completion times are
+accumulated with one ``bincount`` per call, which is what makes the
+scaled-down paper experiments tractable in pure Python.
 """
 
 from __future__ import annotations

@@ -13,8 +13,13 @@ Two interchangeable backends implement the per-generation work:
 * :class:`LoopBackend` (``"loop"``) — the reference implementation: operators
   are applied per individual / per pair with the original operator functions;
 * :class:`VectorizedBackend` (``"vectorized"``, the default) — whole-population
-  array kernels: cycle crossover via permutation composition and pointer
-  doubling, batched swap application, ``bincount``-style rebalance deltas.
+  array kernels: cycle crossover via flat-index pointer doubling, batched
+  swap application, and a rebalance that scores every probe slot of a round
+  at once from the completion times it already holds.
+
+A population of 20 chromosomes of ~20 genes is tiny, so these kernels cost
+what their NumPy calls cost, not what their arithmetic costs: they are
+written to make few calls per generation.
 
 RNG draw-order contract
 -----------------------

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..util.rng import RNGLike, ensure_rng
 from ..util.validation import require_positive_int, require_probability
-from .encoding import random_chromosome
+from .encoding import delimiter_symbols
 from .problem import BatchProblem
 
 __all__ = [
@@ -154,8 +154,11 @@ def random_population(
     """A population of uniformly random chromosomes (used by the ZO baseline)."""
     population_size = require_positive_int(population_size, "population_size")
     gen = ensure_rng(rng)
-    individuals = [
-        random_chromosome(problem.n_tasks, problem.n_processors, gen)
-        for _ in range(population_size)
-    ]
-    return np.vstack(individuals)
+    symbols = np.concatenate(
+        [np.arange(problem.n_tasks), delimiter_symbols(problem.n_processors)]
+    )
+    population = np.tile(symbols, (population_size, 1))
+    # Row by row, the same shuffles as random_chromosome.
+    for row in population:
+        gen.shuffle(row)
+    return population
