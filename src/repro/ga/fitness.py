@@ -20,9 +20,9 @@ drives selection.
 Evaluation is vectorised over the whole population: the population is
 represented as an integer matrix of task→processor assignments, each task's
 contribution is gathered from the problem's cached ``(H, M)`` cost table
-(:attr:`BatchProblem.task_costs`) and the per-processor completion times are
-accumulated with one ``bincount`` per call, which is what makes the
-scaled-down paper experiments tractable in pure Python.
+(:meth:`BatchProblem.assigned_task_costs`), and the per-processor
+completion times are accumulated with one ``bincount`` per call, which is
+what makes the scaled-down paper experiments tractable in pure Python.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def completion_times(assignments: np.ndarray, problem: BatchProblem) -> np.ndarr
     # Per-gene contribution to its assigned processor (execution plus
     # communication), gathered from the problem's cached cost table and summed
     # per (individual, processor) in ascending task order.
-    contrib = problem.task_costs.ravel()[assignments + problem.task_cost_offsets]
+    contrib = problem.assigned_task_costs(assignments)
     flat_index = assignments + np.arange(0, pop * m, m)[:, None]
     sums = np.bincount(flat_index.ravel(), weights=contrib.ravel(), minlength=pop * m)
     return problem.pending_times() + sums.reshape(pop, m)

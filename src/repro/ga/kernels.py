@@ -53,7 +53,8 @@ own fixed-shape draw layout (one uniform per individual for the candidate,
 one ``(pop, n_tasks)`` uniform block for the probe order per round) and is
 equivalent to the loop backend *in distribution*, not bit for bit; the test
 suite verifies it statistically and by its invariants (error never
-increases, permutation preserved).
+increases, permutation preserved), and bit for bit against a row-by-row,
+slot-by-slot reference of its own draw layout.
 """
 
 from __future__ import annotations

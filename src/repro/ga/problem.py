@@ -157,19 +157,23 @@ class BatchProblem:
         """Read-only ``(H, M)`` table of ``t_i / P_j + Γ_c(·, j)``.
 
         Entry ``[i, j]`` is the seconds task ``i`` adds to processor ``j``'s
-        completion time, so fitness evaluation is one gather from this table
-        (at flat index ``i·M + j``) plus one ``bincount``.
+        completion time.
         """
         costs = self.sizes[:, None] / self.rates[None, :] + self.comm_costs[None, :]
         costs.setflags(write=False)
         return costs
 
+    def assigned_task_costs(self, assignments: np.ndarray) -> np.ndarray:
+        """``task_costs[i, assignments[..., i]]`` for every task ``i``, in one flat gather.
+
+        *assignments* must hold valid processor indices (not checked here).
+        """
+        return self.task_costs.ravel()[assignments + self._task_cost_offsets]
+
     @cached_property
-    def task_cost_offsets(self) -> np.ndarray:
-        """Read-only ``(H,)`` row offsets ``i·M`` into the flattened :attr:`task_costs`."""
-        offsets = np.arange(self.n_tasks) * self.n_processors
-        offsets.setflags(write=False)
-        return offsets
+    def _task_cost_offsets(self) -> np.ndarray:
+        # Row offsets i·M into the flattened task_costs table.
+        return np.arange(self.n_tasks) * self.n_processors
 
     def lower_bound_makespan(self) -> float:
         """A simple makespan lower bound: max of ψ-style balance and the largest task."""
