@@ -38,23 +38,17 @@ def _list_schedule(
     """
     pop, n_tasks = visit.shape
     n_random = random_procs.shape[1]
-    rows = np.arange(pop)[:, None]
+    rows = np.arange(pop)
     exec_times = problem.execution_times()
     comm = problem.comm_costs
     assignments = np.empty((pop, n_tasks), dtype=int)
     # Working estimate of each processor's finish time (seconds), per row.
     finish = np.tile(problem.pending_times(), (pop, 1))
-    random_tasks = visit[:, :n_random]
-    assignments[rows, random_tasks] = random_procs
-    # add.at applies the additions one by one in (row, position) order.
-    np.add.at(
-        finish,
-        (np.broadcast_to(rows, random_procs.shape), random_procs),
-        exec_times[random_tasks, random_procs] + comm[random_procs],
-    )
-    rows = rows[:, 0]
-    for tasks in visit[:, n_random:].T:
-        procs = (finish + exec_times[tasks] + comm).argmin(axis=1)
+    for position, tasks in enumerate(visit.T):
+        if position < n_random:
+            procs = random_procs[:, position]
+        else:
+            procs = (finish + exec_times[tasks] + comm).argmin(axis=1)
         assignments[rows, tasks] = procs
         finish[rows, procs] += exec_times[tasks, procs] + comm[procs]
     return assignments
