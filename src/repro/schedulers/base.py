@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,6 +66,13 @@ class SchedulingContext:
         decisions through (see :mod:`repro.schedulers.kernels`).  Both
         backends are bit-identical; ``None`` selects the default
         (vectorized) backend.
+    online:
+        Bool mask of the processors currently in the cluster, ``None`` when
+        every processor is online (an all-true mask is normalised to
+        ``None``).  The simulation master fills the offline entries of
+        ``rates`` and ``pending_loads`` with unattractive placeholders; wave
+        kernels divert picks that still land offline (see the wave contract
+        in :mod:`repro.schedulers.kernels`).
     """
 
     time: float
@@ -74,6 +81,7 @@ class SchedulingContext:
     comm_costs: np.ndarray
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
     kernels: Optional[PolicyKernelBackend] = None
+    online: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         self.rates = np.asarray(self.rates, dtype=float)
@@ -97,6 +105,13 @@ class SchedulingContext:
             raise ConfigurationError(
                 f"kernels must be a PolicyKernelBackend, got {type(self.kernels).__name__}"
             )
+        if self.online is not None:
+            online = np.asarray(self.online, dtype=bool)
+            if online.shape != (m,):
+                raise ConfigurationError("online must have shape (M,)")
+            if not online.any():
+                raise ConfigurationError("at least one processor must be online")
+            self.online = None if online.all() else online
 
     @classmethod
     def trusted(
@@ -107,6 +122,7 @@ class SchedulingContext:
         comm_costs: np.ndarray,
         rng: np.random.Generator,
         kernels: Optional[PolicyKernelBackend] = None,
+        online: Optional[np.ndarray] = None,
     ) -> "SchedulingContext":
         """Build a context from already-validated float64 arrays.
 
@@ -122,6 +138,7 @@ class SchedulingContext:
         ctx.comm_costs = comm_costs
         ctx.rng = rng
         ctx.kernels = kernels if kernels is not None else default_policy_backend()
+        ctx.online = online
         return ctx
 
     @property
@@ -148,6 +165,7 @@ class SchedulingContext:
             self.comm_costs.copy(),
             self.rng,
             self.kernels,
+            None if self.online is None else self.online.copy(),
         )
 
 
@@ -318,7 +336,11 @@ class ImmediateScheduler(Scheduler):
     The batched kernel wave (``Master._schedule_wave`` with the vectorized
     backend) mirrors exactly this contract: one dense loads vector evolving
     per placement, every other context field frozen — which is why it is
-    bit-identical to N single-task invocations.
+    bit-identical to N single-task invocations.  That holds while workers
+    are offline too: :meth:`select_processor` may pick an offline processor
+    (RR does), which the master diverts per task, and a wave diverts the
+    same pick to the same target (see the wave contract in
+    :mod:`repro.schedulers.kernels`).
     """
 
     mode = SchedulerMode.IMMEDIATE
@@ -329,15 +351,17 @@ class ImmediateScheduler(Scheduler):
 
     def select_processors_wave(
         self, sizes: np.ndarray, ctx: SchedulingContext
-    ) -> Optional[np.ndarray]:
+    ) -> Optional[Tuple[np.ndarray, int]]:
         """Place a whole arrival wave through one kernel call, or decline.
 
-        Returns the selected processor per task (int64, FCFS order), with
-        ``ctx.pending_loads`` evolving per placement exactly as the
-        sequential path would evolve its working copy — see the wave
-        contract in :mod:`repro.schedulers.kernels`.  The default returns
-        ``None``: the master falls back to one :meth:`schedule` call per
-        task.  Implementors must keep the default immediate-mode
+        Returns ``(procs, diverted)``: the processor each task joins (int64,
+        FCFS order, always online per ``ctx.online``) and how many picks
+        were diverted off offline processors, with ``ctx.pending_loads``
+        evolving per placement exactly as the sequential path would evolve
+        the master's loads — see the wave contract in
+        :mod:`repro.schedulers.kernels`.  The default returns ``None``: the
+        master falls back to one :meth:`schedule` call per task.
+        Implementors must keep the default immediate-mode
         ``preferred_batch_size`` contract (one task per invocation), which
         is what the master's wave bookkeeping mirrors.
         """

@@ -32,4 +32,6 @@ class EarliestFirstScheduler(ImmediateScheduler):
         return int(np.argmin(finish_times))
 
     def select_processors_wave(self, sizes: np.ndarray, ctx: SchedulingContext):
-        return ctx.kernels.earliest_finish_wave(sizes, ctx.pending_loads, ctx.rates)
+        return ctx.kernels.earliest_finish_wave(
+            sizes, ctx.pending_loads, ctx.rates, ctx.online
+        )

@@ -59,7 +59,9 @@ class MinimumExecutionTimeScheduler(ImmediateScheduler):
         return int(np.argmin(execution_times))
 
     def select_processors_wave(self, sizes: np.ndarray, ctx: SchedulingContext):
-        return ctx.kernels.minimum_execution_wave(sizes, ctx.pending_loads, ctx.rates)
+        return ctx.kernels.minimum_execution_wave(
+            sizes, ctx.pending_loads, ctx.rates, ctx.online
+        )
 
 
 class OpportunisticLoadBalancingScheduler(ImmediateScheduler):
@@ -77,7 +79,9 @@ class OpportunisticLoadBalancingScheduler(ImmediateScheduler):
         return int(np.argmin(ready_times))
 
     def select_processors_wave(self, sizes: np.ndarray, ctx: SchedulingContext):
-        return ctx.kernels.opportunistic_wave(sizes, ctx.pending_loads, ctx.rates)
+        return ctx.kernels.opportunistic_wave(
+            sizes, ctx.pending_loads, ctx.rates, ctx.online
+        )
 
 
 class SufferageScheduler(BatchScheduler):

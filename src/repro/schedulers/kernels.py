@@ -57,12 +57,28 @@ for the duration of a wave: within one ``INVOKE_SCHEDULER`` event they can
 only change through ``observe_dispatch`` / ``observe_completion``, which
 never run between two placements of the same wave.  ``pending_loads`` is
 therefore the *only* field a wave must evolve, and the only one it does.
+
+Offline workers are part of the contract.  ``online`` is the context's bool
+mask of the processors in the cluster (``None`` when all are).  A pick that
+lands on an offline processor is *diverted* to :func:`diversion_target` —
+the online processor with the shortest estimated drain time
+``loads / max(rates, 1e-12)``, lowest index on ties — and the task's size
+is added to the diverted target's load, never to the offline entry.  That
+is the master's own rule for a per-task invocation whose pick is offline,
+so a wave stays bit-identical to N per-task invocations while workers are
+down, diverted count included.  EF, LL and OLB check each pick inside their
+placement loop; RR and MET keep their batched, load-independent picks and
+commit them through :meth:`PolicyKernelBackend.place_picks`, which places
+one task at a time only when some pick lands offline.  The EF, LL, OLB and
+MET wave kernels return ``(procs, diverted)``: the processor each task
+joined and how many picks were diverted; an RR wave is
+:meth:`~PolicyKernelBackend.round_robin_wave` followed by ``place_picks``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -70,6 +86,7 @@ from ..util.errors import ConfigurationError
 
 __all__ = [
     "POLICY_BACKEND_NAMES",
+    "diversion_target",
     "PolicyKernelBackend",
     "LoopPolicyBackend",
     "VectorizedPolicyBackend",
@@ -80,17 +97,60 @@ __all__ = [
 #: Valid backend names, in documentation order.
 POLICY_BACKEND_NAMES: Tuple[str, ...] = ("loop", "vectorized")
 
+#: Rate floor of the diversion score, so a vanishing rate estimate never
+#: divides by zero.
+DIVERSION_RATE_FLOOR = 1e-12
+
+
+def diversion_target(loads: np.ndarray, rates: np.ndarray, online: np.ndarray) -> int:
+    """The online processor with the shortest estimated drain time.
+
+    ``argmin(where(online, loads / maximum(rates, 1e-12), inf))``: the
+    lowest index wins among exact ties, as in
+    ``min(online_ids, key=lambda p: (loads[p] / rate_p, p))``.  Offline
+    entries are masked out, so their placeholder loads and rates never
+    matter.  The one diversion rule of the master and the wave kernels.
+    """
+    scores = loads / np.maximum(rates, DIVERSION_RATE_FLOOR)
+    return int(np.where(online, scores, np.inf).argmin())
+
+
+def _place_sequentially(
+    picks: np.ndarray,
+    sizes: np.ndarray,
+    loads: np.ndarray,
+    rates: np.ndarray,
+    online: Optional[np.ndarray],
+) -> int:
+    """Commit *picks* one task at a time in FCFS order, diverting offline ones.
+
+    Each task's size is added to its pick's load, or to the
+    :func:`diversion_target` of the loads so far when the pick is offline;
+    diverted entries of *picks* are overwritten with their targets.  Returns
+    the number of diverted picks.
+    """
+    diverted = 0
+    for k, size in enumerate(sizes.tolist()):
+        proc = picks[k]
+        if online is not None and not online[proc]:
+            proc = diversion_target(loads, rates, online)
+            picks[k] = proc
+            diverted += 1
+        loads[proc] += size
+    return diverted
+
 
 class PolicyKernelBackend(ABC):
     """One interchangeable implementation of the policy decision kernels.
 
-    Wave kernels (``*_wave``) take the task sizes of one arrival wave and
-    the dense worker state, return the selected processor per task (int64,
-    aligned with the input order) and mutate ``loads`` in place per the wave
-    contract above.  Batch kernels return ``(order, procs)``: the placement
-    order as indices into the input arrays, and the processor chosen for
-    each placement, so callers can rebuild per-processor queues in the exact
-    placement order.
+    Wave kernels (``*_wave``) take the task sizes of one arrival wave, the
+    dense worker state and the ``online`` mask, mutate ``loads`` in place
+    and return ``(procs, diverted)`` per the wave contract above: the
+    processor each task joined (int64, aligned with the input order) and
+    the number of picks diverted off offline processors.  Batch kernels
+    return ``(order, procs)``: the placement order as indices into the
+    input arrays, and the processor chosen for each placement, so callers
+    can rebuild per-processor queues in the exact placement order.
     """
 
     #: Backend identifier (one of :data:`POLICY_BACKEND_NAMES`).
@@ -104,37 +164,75 @@ class PolicyKernelBackend(ABC):
     # -- immediate-mode waves ------------------------------------------------------
     @abstractmethod
     def earliest_finish_wave(
-        self, sizes: np.ndarray, loads: np.ndarray, rates: np.ndarray
-    ) -> np.ndarray:
+        self,
+        sizes: np.ndarray,
+        loads: np.ndarray,
+        rates: np.ndarray,
+        online: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, int]:
         """EF: per task, ``argmin((loads + size) / rates)``; loads evolve."""
 
     @abstractmethod
-    def lightest_loaded_wave(self, sizes: np.ndarray, loads: np.ndarray) -> np.ndarray:
-        """LL: per task, ``argmin(loads)``; loads evolve."""
+    def lightest_loaded_wave(
+        self,
+        sizes: np.ndarray,
+        loads: np.ndarray,
+        rates: np.ndarray,
+        online: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, int]:
+        """LL: per task, ``argmin(loads)``; loads evolve.
+
+        *rates* only scores diversions.
+        """
 
     @abstractmethod
     def opportunistic_wave(
-        self, sizes: np.ndarray, loads: np.ndarray, rates: np.ndarray
-    ) -> np.ndarray:
+        self,
+        sizes: np.ndarray,
+        loads: np.ndarray,
+        rates: np.ndarray,
+        online: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, int]:
         """OLB: per task, ``argmin(loads / rates)``; loads evolve."""
 
     @abstractmethod
     def minimum_execution_wave(
-        self, sizes: np.ndarray, loads: np.ndarray, rates: np.ndarray
-    ) -> np.ndarray:
-        """MET: per task, ``argmin(size / rates)`` (load-independent)."""
+        self,
+        sizes: np.ndarray,
+        loads: np.ndarray,
+        rates: np.ndarray,
+        online: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, int]:
+        """MET: per task, ``argmin(size / rates)`` (load-independent picks)."""
 
     @abstractmethod
     def round_robin_wave(
         self, n_tasks: int, n_processors: int, start: int
     ) -> Tuple[np.ndarray, int]:
-        """RR: task *k* of the wave joins ``(start + k) % n_processors``.
+        """RR picks: task *k* of the wave picks ``(start + k) % n_processors``.
 
-        Returns ``(procs, next_start)`` where ``next_start`` is the rotation
+        Returns ``(picks, next_start)`` where ``next_start`` is the rotation
         state after the wave (what *start* would be after ``n_tasks``
         single-task selections), canonicalised into ``[0, n_processors)`` —
         the scalar path selects through ``start % n_processors``, so an
-        out-of-range *start* is indistinguishable from its residue.
+        out-of-range *start* is indistinguishable from its residue.  The
+        picks read no state; commit them with :meth:`place_picks`.
+        """
+
+    @abstractmethod
+    def place_picks(
+        self,
+        picks: np.ndarray,
+        sizes: np.ndarray,
+        loads: np.ndarray,
+        rates: np.ndarray,
+        online: Optional[np.ndarray] = None,
+    ) -> int:
+        """Commit load-independent picks (RR, MET) per the wave contract.
+
+        Adds each task's size to its pick's load in FCFS order, diverting
+        picks that land offline (their entries of *picks* are overwritten
+        with the targets).  Returns the number of diverted picks.
         """
 
     # -- batch-mode kernels --------------------------------------------------------
@@ -179,40 +277,33 @@ class LoopPolicyBackend(PolicyKernelBackend):
     name = "loop"
     batches_immediate_waves = False
 
-    def earliest_finish_wave(self, sizes, loads, rates):
+    @staticmethod
+    def _wave(score, sizes, loads, rates, online):
+        """Place tasks one at a time on ``argmin(score(size, loads, rates))``."""
         procs = np.empty(sizes.shape[0], dtype=np.int64)
+        diverted = 0
         for k in range(sizes.shape[0]):
-            finish_times = (loads + sizes[k]) / rates
-            proc = int(np.argmin(finish_times))
+            proc = int(np.argmin(score(sizes[k], loads, rates)))
+            if online is not None and not online[proc]:
+                proc = diversion_target(loads, rates, online)
+                diverted += 1
             procs[k] = proc
             loads[proc] += sizes[k]
-        return procs
+        return procs, diverted
 
-    def lightest_loaded_wave(self, sizes, loads):
-        procs = np.empty(sizes.shape[0], dtype=np.int64)
-        for k in range(sizes.shape[0]):
-            proc = int(np.argmin(loads))
-            procs[k] = proc
-            loads[proc] += sizes[k]
-        return procs
+    def earliest_finish_wave(self, sizes, loads, rates, online=None):
+        return self._wave(
+            lambda size, loads, rates: (loads + size) / rates, sizes, loads, rates, online
+        )
 
-    def opportunistic_wave(self, sizes, loads, rates):
-        procs = np.empty(sizes.shape[0], dtype=np.int64)
-        for k in range(sizes.shape[0]):
-            ready_times = loads / rates
-            proc = int(np.argmin(ready_times))
-            procs[k] = proc
-            loads[proc] += sizes[k]
-        return procs
+    def lightest_loaded_wave(self, sizes, loads, rates, online=None):
+        return self._wave(lambda size, loads, rates: loads, sizes, loads, rates, online)
 
-    def minimum_execution_wave(self, sizes, loads, rates):
-        procs = np.empty(sizes.shape[0], dtype=np.int64)
-        for k in range(sizes.shape[0]):
-            execution_times = sizes[k] / rates
-            proc = int(np.argmin(execution_times))
-            procs[k] = proc
-            loads[proc] += sizes[k]
-        return procs
+    def opportunistic_wave(self, sizes, loads, rates, online=None):
+        return self._wave(lambda size, loads, rates: loads / rates, sizes, loads, rates, online)
+
+    def minimum_execution_wave(self, sizes, loads, rates, online=None):
+        return self._wave(lambda size, loads, rates: size / rates, sizes, loads, rates, online)
 
     def round_robin_wave(self, n_tasks, n_processors, start):
         procs = np.empty(n_tasks, dtype=np.int64)
@@ -221,6 +312,9 @@ class LoopPolicyBackend(PolicyKernelBackend):
             procs[k] = nxt
             nxt = (nxt + 1) % n_processors
         return procs, nxt
+
+    def place_picks(self, picks, sizes, loads, rates, online=None):
+        return _place_sequentially(picks, sizes, loads, rates, online)
 
     def greedy_finish_batch(self, sizes, task_ids, loads, rates, descending):
         n = sizes.shape[0]
@@ -274,56 +368,74 @@ class VectorizedPolicyBackend(PolicyKernelBackend):
     one pre-extracted array and the score vector is computed into a
     preallocated buffer (``np.add``/``np.divide`` with ``out=`` are
     bit-identical to the fresh-temporary expressions).  RR and MET decisions
-    are load-independent and batch completely.
+    are load-independent and batch completely; their loads are committed in
+    one ``np.add.at`` unless a pick lands offline.
     """
 
     name = "vectorized"
     batches_immediate_waves = True
 
-    def earliest_finish_wave(self, sizes, loads, rates):
+    def earliest_finish_wave(self, sizes, loads, rates, online=None):
         n = sizes.shape[0]
         procs = np.empty(n, dtype=np.int64)
         buf = np.empty_like(loads)
+        diverted = 0
         for k, size in enumerate(sizes.tolist()):
             np.add(loads, size, out=buf)
             np.divide(buf, rates, out=buf)
             proc = buf.argmin()
+            if online is not None and not online[proc]:
+                proc = diversion_target(loads, rates, online)
+                diverted += 1
             procs[k] = proc
             loads[proc] += size
-        return procs
+        return procs, diverted
 
-    def lightest_loaded_wave(self, sizes, loads):
+    def lightest_loaded_wave(self, sizes, loads, rates, online=None):
         n = sizes.shape[0]
         procs = np.empty(n, dtype=np.int64)
+        diverted = 0
         for k, size in enumerate(sizes.tolist()):
             proc = loads.argmin()
+            if online is not None and not online[proc]:
+                proc = diversion_target(loads, rates, online)
+                diverted += 1
             procs[k] = proc
             loads[proc] += size
-        return procs
+        return procs, diverted
 
-    def opportunistic_wave(self, sizes, loads, rates):
+    def opportunistic_wave(self, sizes, loads, rates, online=None):
         n = sizes.shape[0]
         procs = np.empty(n, dtype=np.int64)
         buf = np.empty_like(loads)
+        diverted = 0
         for k, size in enumerate(sizes.tolist()):
             np.divide(loads, rates, out=buf)
             proc = buf.argmin()
+            if online is not None and not online[proc]:
+                proc = diversion_target(loads, rates, online)
+                diverted += 1
             procs[k] = proc
             loads[proc] += size
-        return procs
+        return procs, diverted
 
-    def minimum_execution_wave(self, sizes, loads, rates):
+    def minimum_execution_wave(self, sizes, loads, rates, online=None):
         # MET ignores loads entirely, so the whole wave batches into one
         # (n_tasks, n_processors) division + row-wise argmin.
-        procs = (sizes[:, None] / rates[None, :]).argmin(axis=1).astype(np.int64)
-        # np.add.at applies repeated-index additions in index order — the
-        # same accumulation sequence as per-task scalar adds.
-        np.add.at(loads, procs, sizes)
-        return procs
+        picks = (sizes[:, None] / rates[None, :]).argmin(axis=1).astype(np.int64)
+        return picks, self.place_picks(picks, sizes, loads, rates, online)
 
     def round_robin_wave(self, n_tasks, n_processors, start):
         procs = (int(start) + np.arange(n_tasks, dtype=np.int64)) % n_processors
         return procs, (int(start) + n_tasks) % n_processors
+
+    def place_picks(self, picks, sizes, loads, rates, online=None):
+        if online is None or online[picks].all():
+            # np.add.at applies repeated-index additions in index order — the
+            # same accumulation sequence as per-task scalar adds.
+            np.add.at(loads, picks, sizes)
+            return 0
+        return _place_sequentially(picks, sizes, loads, rates, online)
 
     def greedy_finish_batch(self, sizes, task_ids, loads, rates, descending):
         # lexsort's last key is primary and the sort is stable, so

@@ -30,4 +30,6 @@ class LightestLoadedScheduler(ImmediateScheduler):
         return int(np.argmin(ctx.pending_loads))
 
     def select_processors_wave(self, sizes: np.ndarray, ctx: SchedulingContext):
-        return ctx.kernels.lightest_loaded_wave(sizes, ctx.pending_loads)
+        return ctx.kernels.lightest_loaded_wave(
+            sizes, ctx.pending_loads, ctx.rates, ctx.online
+        )

@@ -29,10 +29,10 @@ class RoundRobinScheduler(ImmediateScheduler):
         return proc
 
     def select_processors_wave(self, sizes, ctx: SchedulingContext):
-        procs, self._next = ctx.kernels.round_robin_wave(
-            len(sizes), ctx.n_processors, self._next
-        )
-        return procs
+        kernels = ctx.kernels
+        procs, self._next = kernels.round_robin_wave(len(sizes), ctx.n_processors, self._next)
+        diverted = kernels.place_picks(procs, sizes, ctx.pending_loads, ctx.rates, ctx.online)
+        return procs, diverted
 
     def reset(self) -> None:
         """Restart the rotation from the configured starting processor."""

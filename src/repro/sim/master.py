@@ -26,7 +26,7 @@ from ..schedulers.base import (
     SchedulerMode,
     SchedulingContext,
 )
-from ..schedulers.kernels import default_policy_backend
+from ..schedulers.kernels import default_policy_backend, diversion_target
 from ..util.errors import SimulationError
 from ..util.rng import RNGLike, ensure_rng
 from ..util.smoothing import SmoothedMap
@@ -100,7 +100,8 @@ class Master:
         #: so the policy can re-map them over a recovered/joined worker.
         self.tasks_reclaimed = 0
         #: Tasks a policy assigned to an offline processor that the master
-        #: diverted to the least-loaded online queue instead.
+        #: diverted to the online queue with the shortest estimated drain
+        #: time instead (see :func:`~repro.schedulers.kernels.diversion_target`).
         self.tasks_redirected = 0
 
     # -- arrivals -----------------------------------------------------------------------
@@ -133,12 +134,19 @@ class Master:
         return sum(len(q) for q in self.proc_queues)
 
     def _drain_queue(self, proc: int) -> List[Task]:
-        """Empty *proc*'s master-side queue, releasing its pending load."""
-        drained: List[Task] = []
-        while self.proc_queues[proc]:
-            task = self.proc_queues[proc].popleft()
-            self.pending_loads[proc] = max(0.0, self.pending_loads[proc] - task.size_mflops)
-            drained.append(task)
+        """Empty *proc*'s master-side queue, releasing its pending load.
+
+        The load is released task by task in queue order with the same
+        clamped subtraction as :meth:`observe_completion`, accumulated in a
+        local float and stored once.
+        """
+        queue = self.proc_queues[proc]
+        drained = list(queue)
+        queue.clear()
+        load = float(self.pending_loads[proc])
+        for task in drained:
+            load = max(0.0, load - task.size_mflops)
+        self.pending_loads[proc] = load
         return drained
 
     def _requeue_front(self, tasks: List[Task]) -> None:
@@ -207,21 +215,27 @@ class Master:
         Offline processors keep their slot in the arrays (policies such as PN
         size their encodings to a fixed processor count) but are made
         maximally unattractive: a vanishingly small rate and an enormous
-        pending load.  Any task a policy assigns to one anyway is diverted by
-        :meth:`run_scheduler_once`.
+        pending load.  ``ctx.online`` masks them out (``None`` while every
+        processor is online).  Any task a policy assigns to one anyway is
+        diverted — per task by :meth:`run_scheduler_once`, inside the wave
+        kernel on the batched path — to the same
+        :func:`~repro.schedulers.kernels.diversion_target`.
         """
         rates = self.estimated_rates()
         loads = self.pending_loads.copy()
         comm_costs = self.estimated_comm_costs()
+        online = None
         if self._offline:
             offline = sorted(self._offline)
             rates[offline] = OFFLINE_RATE
             loads[offline] = OFFLINE_LOAD
+            online = np.ones(self.n_processors, dtype=bool)
+            online[offline] = False
         # The master's arrays already satisfy every context invariant (float64,
         # matching shapes, positive rates, non-negative loads/costs), so skip
         # the validating constructor on this per-invocation path.
         return SchedulingContext.trusted(
-            time, rates, loads, comm_costs, self._rng, self.policy_kernels
+            time, rates, loads, comm_costs, self._rng, self.policy_kernels, online
         )
 
     # -- scheduling ------------------------------------------------------------------------
@@ -232,10 +246,7 @@ class Master:
         schedule, the policy asked for an empty batch, or every worker is
         offline (the queue is left intact until one comes back).
         """
-        if not self.unscheduled:
-            return None
-        online = self.online_processors()
-        if not online:
+        if not self.unscheduled or len(self._offline) == self.n_processors:
             return None
         ctx = self.build_context(time)
         batch_size = self.scheduler.preferred_batch_size(ctx, len(self.unscheduled))
@@ -260,17 +271,13 @@ class Master:
         # The master refuses to enqueue work for a vanished worker: tasks a
         # policy maps to an offline processor are diverted, in queue order, to
         # the online queue with the shortest estimated drain time.
-        est_rates = (
-            np.maximum(self.estimated_rates(), 1e-12) if self._offline else None
-        )
+        online = ctx.online
         for proc, queue in enumerate(assignment.iter_queues()):
             for task_id in queue:
                 task = by_id[task_id]
                 target = proc
-                if proc in self._offline:
-                    target = min(
-                        online, key=lambda p: (self.pending_loads[p] / est_rates[p], p)
-                    )
+                if online is not None and not online[proc]:
+                    target = diversion_target(self.pending_loads, self._rates_vec, online)
                     self.tasks_redirected += 1
                 self.proc_queues[target].append(task)
                 self.pending_loads[target] += task.size_mflops
@@ -291,24 +298,33 @@ class Master:
         rates and comm estimates are frozen — feedback observations only
         run between events — so the wave is bit-identical to N single-task
         invocations; the bookkeeping mirrors them exactly (N invocations of
-        batch size 1, per-task assignment times).
+        batch size 1, per-task assignment times, diverted picks counted in
+        ``tasks_redirected``).  Offline processors are masked through
+        ``ctx.online`` and the kernel diverts picks that land on one, as
+        :meth:`run_scheduler_once` does per task; a wave that still places
+        a task offline is rejected.
 
         Returns ``None`` when the policy declines (no wave kernel), letting
-        the caller fall back to the per-task path.  Only called with every
-        processor online: offline diversion stays on the per-task path.
+        the caller fall back to the per-task path.
         """
         ctx = self.build_context(time)
         tasks = list(self.unscheduled)
         sizes = np.array([task.size_mflops for task in tasks], dtype=float)
-        procs = self.scheduler.select_processors_wave(sizes, ctx)
-        if procs is None:
+        wave = self.scheduler.select_processors_wave(sizes, ctx)
+        if wave is None:
             return None
+        procs, diverted = wave
         if procs.shape != (len(tasks),) or (
             len(tasks) and (procs.min() < 0 or procs.max() >= self.n_processors)
         ):
             raise SimulationError(
                 f"scheduler {self.scheduler.name}: wave kernel returned an "
                 f"invalid processor selection"
+            )
+        if ctx.online is not None and not ctx.online[procs].all():
+            raise SimulationError(
+                f"scheduler {self.scheduler.name}: wave kernel placed a task on "
+                f"an offline processor"
             )
         self.unscheduled.clear()
         proc_queues = self.proc_queues
@@ -320,6 +336,7 @@ class Master:
             assigned_time[task.task_id] = time
         self.invocations += len(tasks)
         self.batch_sizes.extend([1] * len(tasks))
+        self.tasks_redirected += int(diverted)
         return len(tasks)
 
     def schedule_all_available(self, time: float) -> int:
@@ -328,11 +345,13 @@ class Master:
 
         Immediate-mode policies consume everything in one pass — batched
         into a single wave-kernel invocation when the policy backend is
-        vectorized, every worker is online and the policy provides a wave
-        kernel (bit-identical to the per-task path either way); batch-mode
-        policies are re-invoked while there are still unscheduled tasks *and*
-        at least one processor queue is empty, which mirrors the paper's goal
-        of never letting a processor sit idle while work exists.
+        vectorized and the policy provides a wave kernel, whether or not
+        some workers are offline (bit-identical to the per-task path either
+        way, diversions included); batch-mode policies are re-invoked while
+        there are still unscheduled tasks *and* at least one processor queue
+        is empty, which mirrors the paper's goal of never letting a
+        processor sit idle while work exists.  With every worker offline
+        nothing is assigned and the queue waits for one to come back.
 
         Returns the number of tasks assigned by this call.
         """
@@ -344,7 +363,6 @@ class Master:
         if (
             immediate
             and self.unscheduled
-            and not self._offline
             and self.policy_kernels.batches_immediate_waves
             and isinstance(self.scheduler, ImmediateScheduler)
         ):

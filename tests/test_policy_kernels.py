@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.topology import heterogeneous_cluster, homogeneous_cluster
+from repro.scenarios import DynamicsTimeline, WorkerJoin
 from repro.schedulers import (
     POLICY_BACKEND_NAMES,
     LoopPolicyBackend,
@@ -31,6 +32,7 @@ from repro.schedulers import (
 )
 from repro.schedulers.base import ImmediateScheduler
 from repro.schedulers.extended import SufferageScheduler
+from repro.schedulers.kernels import diversion_target
 from repro.schedulers.registry import make_scheduler
 from repro.sim.simulation import DistributedSystemSimulation, SimulationConfig
 from repro.util.errors import ConfigurationError, SimulationError
@@ -74,25 +76,63 @@ def unpack(state):
     return sizes, loads, rates
 
 
+def online_masks(m):
+    """``None`` (all online) or a bool mask with at least one online entry."""
+    masks = st.lists(st.booleans(), min_size=m, max_size=m).filter(any)
+    return st.none() | masks.map(lambda bits: np.array(bits, dtype=bool))
+
+
+WAVE_KERNELS = (
+    "earliest_finish_wave",
+    "lightest_loaded_wave",
+    "opportunistic_wave",
+    "minimum_execution_wave",
+)
+
+
+def round_robin_placement(backend, sizes, loads, rates, start, online):
+    """An RR wave as the scheduler runs it: rotation picks, then placement."""
+    picks, next_start = backend.round_robin_wave(len(sizes), loads.shape[0], start)
+    diverted = backend.place_picks(picks, sizes, loads, rates, online)
+    return picks, diverted, next_start
+
+
 class TestKernelParity:
     """Loop and vectorized kernels agree bit-for-bit, ties included."""
 
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(state=dense_states)
-    def test_wave_kernels_bit_identical(self, state):
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(state=dense_states, data=st.data())
+    def test_wave_kernels_bit_identical(self, state, data):
         sizes, loads, rates = unpack(state)
-        for kernel in ("earliest_finish_wave", "opportunistic_wave", "minimum_execution_wave"):
+        online = data.draw(online_masks(loads.shape[0]), label="online")
+        for kernel in WAVE_KERNELS:
             loads_a, loads_b = loads.copy(), loads.copy()
-            procs_a = getattr(LOOP, kernel)(sizes, loads_a, rates)
-            procs_b = getattr(VEC, kernel)(sizes, loads_b, rates)
+            procs_a, diverted_a = getattr(LOOP, kernel)(sizes, loads_a, rates, online)
+            procs_b, diverted_b = getattr(VEC, kernel)(sizes, loads_b, rates, online)
             np.testing.assert_array_equal(procs_a, procs_b, err_msg=kernel)
             np.testing.assert_array_equal(loads_a, loads_b, err_msg=kernel)
+            assert diverted_a == diverted_b, kernel
+            if online is not None:
+                assert online[procs_a].all(), kernel
+                # Offline entries never grow: diverted sizes land online.
+                np.testing.assert_array_equal(loads_a[~online], loads[~online])
+        # RR start positions are drawn freely, so rotations begin on offline
+        # processors as often as on online ones.
+        start = data.draw(st.integers(0, 12), label="start")
         loads_a, loads_b = loads.copy(), loads.copy()
-        np.testing.assert_array_equal(
-            LOOP.lightest_loaded_wave(sizes, loads_a),
-            VEC.lightest_loaded_wave(sizes, loads_b),
+        picks_a, diverted_a, next_a = round_robin_placement(
+            LOOP, sizes, loads_a, rates, start, online
         )
+        picks_b, diverted_b, next_b = round_robin_placement(
+            VEC, sizes, loads_b, rates, start, online
+        )
+        np.testing.assert_array_equal(picks_a, picks_b)
         np.testing.assert_array_equal(loads_a, loads_b)
+        assert (diverted_a, next_a) == (diverted_b, next_b)
+        m = loads.shape[0]
+        rotation = (start + np.arange(len(sizes))) % m
+        expected_diverted = 0 if online is None else int((~online[rotation]).sum())
+        assert diverted_a == expected_diverted
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -140,19 +180,76 @@ class TestTieBreakContract:
     def test_argmin_policies_pick_lowest_index_on_exact_ties(self, backend):
         sizes = np.array([4.0])
         rates = np.array([2.0, 2.0, 2.0])
-        for kernel in ("earliest_finish_wave", "opportunistic_wave", "minimum_execution_wave"):
-            assert getattr(backend, kernel)(sizes, np.zeros(3), rates)[0] == 0, kernel
-        assert backend.lightest_loaded_wave(sizes, np.zeros(3))[0] == 0
+        for kernel in WAVE_KERNELS:
+            procs, _ = getattr(backend, kernel)(sizes, np.zeros(3), rates)
+            assert procs[0] == 0, kernel
 
     @pytest.mark.parametrize("backend", [LOOP, VEC])
     def test_ef_wave_is_sequential_in_effect(self, backend):
         # Equal tasks on two equal processors: each placement must see the
         # previous one's load, alternating 0,1,0 — a fully parallel argmin
         # over the frozen initial state would put all three on processor 0.
-        procs = backend.earliest_finish_wave(
+        procs, diverted = backend.earliest_finish_wave(
             np.array([4.0, 4.0, 4.0]), np.zeros(2), np.array([1.0, 1.0])
         )
         assert procs.tolist() == [0, 1, 0]
+        assert diverted == 0
+
+    def test_diversion_target_takes_lowest_index_among_online_ties(self):
+        # Processors 1 and 3 tie exactly on 2.0 / 1.0 == 4.0 / 2.0; the
+        # offline processor 0 would score lower but is masked out.
+        loads = np.array([0.0, 2.0, 5.0, 4.0])
+        rates = np.array([1.0, 1.0, 1.0, 2.0])
+        online = np.array([False, True, True, True])
+        assert diversion_target(loads, rates, online) == 1
+        reference = min(
+            np.flatnonzero(online).tolist(),
+            key=lambda p: (loads[p] / max(rates[p], 1e-12), p),
+        )
+        assert reference == 1
+
+    @pytest.mark.parametrize("backend", [LOOP, VEC])
+    def test_diverted_picks_follow_the_evolving_loads(self, backend):
+        # Processor 0 is offline and scores best for EF every time; each
+        # diverted task lands on the online processor that is then the
+        # least loaded, lowest index first on the initial tie.
+        online = np.array([False, True, True])
+        loads = np.zeros(3)
+        procs, diverted = backend.earliest_finish_wave(
+            np.array([3.0, 3.0, 3.0]), loads, np.array([100.0, 1.0, 1.0]), online
+        )
+        assert procs.tolist() == [1, 2, 1]
+        assert diverted == 3
+        assert loads.tolist() == [0.0, 6.0, 3.0]
+
+    @pytest.mark.parametrize("kernel", WAVE_KERNELS)
+    @pytest.mark.parametrize("backend", [LOOP, VEC])
+    def test_all_but_one_offline_places_everything_on_the_survivor(self, backend, kernel):
+        online = np.array([False, False, True, False])
+        loads = np.zeros(4)
+        sizes = np.array([5.0, 1.0, 2.0])
+        procs, diverted = getattr(backend, kernel)(
+            sizes, loads, np.array([4.0, 3.0, 2.0, 1.0]), online
+        )
+        assert procs.tolist() == [2, 2, 2]
+        assert loads.tolist() == [0.0, 0.0, 8.0, 0.0]
+        # Every policy scores processor 0 best here (lowest index on the
+        # all-zero load ties, fastest rate otherwise), so every pick moved.
+        assert diverted == 3
+
+    @pytest.mark.parametrize("backend", [LOOP, VEC])
+    def test_round_robin_start_on_offline_processor_is_diverted(self, backend):
+        online = np.array([True, True, False, True])
+        loads = np.zeros(4)
+        picks, diverted, next_start = round_robin_placement(
+            backend, np.array([1.0, 1.0, 1.0, 1.0]), loads, np.ones(4), 2, online
+        )
+        # Picks 2, 3, 0, 1: the first is offline and goes to the lightest
+        # online queue (processor 0 on the all-zero tie); then 3, 0, 1.
+        assert picks.tolist() == [0, 3, 0, 1]
+        assert diverted == 1
+        assert next_start == 2
+        assert loads.tolist() == [2.0, 1.0, 0.0, 1.0]
 
     @pytest.mark.parametrize("backend", [LOOP, VEC])
     def test_max_min_equal_sizes_placed_in_fcfs_order(self, backend):
@@ -376,16 +473,30 @@ class TestWaveVsPerTask:
         class BrokenEF(ImmediateScheduler):
             name = "EF"
 
+            def __init__(self, proc):
+                self.proc = proc
+
             def select_processor(self, task, ctx):
                 return 0
 
             def select_processors_wave(self, sizes, ctx):
-                return np.full(len(sizes), 99, dtype=np.int64)  # out of range
+                return np.full(len(sizes), self.proc, dtype=np.int64), 0
 
         tasks = generate_workload(workload_by_name("normal", 10), np.random.default_rng(0))
         cluster = homogeneous_cluster(3, 100.0, mean_comm_cost=1.0)
-        sim = DistributedSystemSimulation(BrokenEF(), cluster, tasks, rng=1)
+        sim = DistributedSystemSimulation(BrokenEF(99), cluster, tasks, rng=1)  # out of range
         with pytest.raises(SimulationError, match="wave"):
+            sim.run()
+        # A wave that ignores ctx.online and places work on a worker that has
+        # not joined yet fails loudly instead of stranding the tasks.
+        sim = DistributedSystemSimulation(
+            BrokenEF(2),
+            cluster,
+            tasks,
+            dynamics=DynamicsTimeline([WorkerJoin(time=1e6, proc=2)]),
+            rng=1,
+        )
+        with pytest.raises(SimulationError, match="wave kernel placed a task on an offline"):
             sim.run()
 
 
