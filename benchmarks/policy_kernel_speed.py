@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark: loop vs vectorized policy-kernel backends, in sims/second.
 
-Times the same seeded static simulation under both policy-kernel backends,
+Times the same seeded simulation under both policy-kernel backends,
 set on the simulation master's ``policy_kernels`` seam (``"loop"`` keeps
 the historical one-invocation-per-task path and is the tests' reference;
 ``"vectorized"``, what every run uses, computes decisions through the dense
@@ -13,7 +13,7 @@ efficiency, response times, invocation bookkeeping and the full execution
 trace — across all four (policy backend × simulation engine) combinations:
 the kernels are only a win because they change nothing.
 
-Each scale times three cells:
+Each scale times four cells:
 
 * ``immediate`` — the EF immediate-mode baseline: one policy invocation per
   task on the loop path, one kernel wave per arrival burst on the
@@ -22,7 +22,13 @@ Each scale times three cells:
 * ``rotation`` — RR: near-zero decision arithmetic, so the cell isolates
   the pure per-task Python machinery the wave eliminates;
 * ``batch`` — MM with the scale's fixed batch size: the sort + greedy
-  placement loop routed through the batch kernels.
+  placement loop routed through the batch kernels;
+* ``churn`` — RR on the event engine while worker 0 is offline for most of
+  the run (it joins at 90% of a crude makespan estimate): every wave
+  diverts the rotation's picks on the absent worker, so the cell times the
+  offline diversion inside the wave against per-task diversion by the
+  master.  Dynamics always run on the event engine, so its parity check
+  covers that engine only.
 
 Two preset sizes are built in: ``smoke`` (CI-sized) and ``paper`` (the
 publication's 10,000-task, 50-processor immediate-mode cell).
@@ -52,6 +58,7 @@ import numpy as np
 
 from _shared import bench_row, write_bench_record
 from repro.cluster.topology import heterogeneous_cluster
+from repro.scenarios import DynamicsTimeline, WorkerJoin
 from repro.schedulers.kernels import POLICY_BACKEND_NAMES, policy_backend_from_name
 from repro.schedulers.registry import make_scheduler
 from repro.sim.simulation import DistributedSystemSimulation
@@ -85,11 +92,12 @@ SCALES: Dict[str, PolicyScale] = {
     ),
 }
 
-#: The three timed cells: (cell name, scheduler, batch size resolver).
+#: The timed cells: (cell name, scheduler, whether worker 0 joins late).
 CELLS = (
-    ("immediate", "EF", lambda scale: scale.batch_size),
-    ("rotation", "RR", lambda scale: scale.batch_size),
-    ("batch", "MM", lambda scale: scale.batch_size),
+    ("immediate", "EF", False),
+    ("rotation", "RR", False),
+    ("batch", "MM", False),
+    ("churn", "RR", True),
 )
 
 
@@ -106,10 +114,19 @@ def build_inputs(scale: PolicyScale, seed: int):
     return tasks, cluster
 
 
+def late_join(scale: PolicyScale, tasks, cluster) -> DynamicsTimeline:
+    """Worker 0 joins at 90% of a crude makespan estimate (work over capacity
+    plus dispatch spread over the workers), so it is offline for most of
+    the run."""
+    horizon = sum(task.size_mflops for task in tasks) / cluster.current_rates(0.0).sum()
+    horizon += len(tasks) * scale.mean_comm_cost / scale.n_processors
+    return DynamicsTimeline([WorkerJoin(time=0.9 * horizon, proc=0)])
+
+
 def run_once(
     scale: PolicyScale,
     scheduler_name: str,
-    batch_size: int,
+    churn: bool,
     policy_backend: str,
     seed: int,
     sim_backend: str = "fast",
@@ -118,12 +135,15 @@ def run_once(
     scheduler = make_scheduler(
         scheduler_name,
         n_processors=scale.n_processors,
-        batch_size=batch_size,
+        batch_size=scale.batch_size,
         max_generations=10,
         rng=seed + 2,
     )
+    dynamics = late_join(scale, tasks, cluster) if churn else None
     start = time.perf_counter()
-    sim = DistributedSystemSimulation(scheduler, cluster, tasks, rng=seed + 3)
+    sim = DistributedSystemSimulation(
+        scheduler, cluster, tasks, dynamics=dynamics, rng=seed + 3
+    )
     sim.master.policy_kernels = policy_backend_from_name(policy_backend)
     if sim_backend == "event":
         sim.uses_fast_path = lambda: False
@@ -151,6 +171,7 @@ def result_digest(result) -> str:
     h.update(repr(result.metrics.mean_response_time).encode())
     h.update(repr(result.scheduler_invocations).encode())
     h.update(repr(tuple(result.batch_sizes)).encode())
+    h.update(repr(result.metrics.dynamics).encode())
     return h.hexdigest()
 
 
@@ -159,14 +180,16 @@ def assert_backend_parity(scale: PolicyScale, seed: int) -> None:
 
     Covers the full (policy backend x simulation backend) grid so the
     vectorized wave is gated against the per-task path on *both* simulation
-    cores — the wave runs in the master and must be invisible to each.
+    cores — the wave runs in the master and must be invisible to each.  The
+    ``churn`` cell runs on the event engine only: dynamics never take the
+    fast path.
     """
-    for cell, scheduler_name, batch_of in CELLS:
+    for cell, scheduler_name, churn in CELLS:
         digests = set()
         for policy_backend in POLICY_BACKEND_NAMES:
-            for sim_backend in ("event", "fast"):
+            for sim_backend in ("event",) if churn else ("event", "fast"):
                 result, _ = run_once(
-                    scale, scheduler_name, batch_of(scale), policy_backend, seed,
+                    scale, scheduler_name, churn, policy_backend, seed,
                     sim_backend=sim_backend,
                 )
                 digests.add(result_digest(result))
@@ -178,7 +201,7 @@ def assert_backend_parity(scale: PolicyScale, seed: int) -> None:
 
 
 def measure_cell(
-    scale: PolicyScale, scheduler_name: str, batch_size: int, seed: int, repeats: int
+    scale: PolicyScale, scheduler_name: str, churn: bool, seed: int, repeats: int
 ):
     """Best-of-*repeats* sims/sec per policy backend."""
     best: Dict[str, float] = {}
@@ -186,15 +209,13 @@ def measure_cell(
     for policy_backend in POLICY_BACKEND_NAMES:
         fastest = float("inf")
         for _ in range(repeats):
-            result, elapsed = run_once(
-                scale, scheduler_name, batch_size, policy_backend, seed
-            )
+            result, elapsed = run_once(scale, scheduler_name, churn, policy_backend, seed)
             fastest = min(fastest, elapsed)
             invocations = result.scheduler_invocations
         best[policy_backend] = fastest
-    return {
+    cell = {
         "scheduler": scheduler_name,
-        "batch_size": batch_size,
+        "batch_size": scale.batch_size,
         "scheduler_invocations": invocations,
         "sims_per_second": {
             "loop": round(1.0 / best["loop"], 3),
@@ -202,13 +223,16 @@ def measure_cell(
         },
         "speedup": round(best["loop"] / best["vectorized"], 3),
     }
+    if churn:
+        cell["tasks_redirected"] = result.metrics.dynamics.tasks_redirected
+    return cell
 
 
 def measure_scale(scale: PolicyScale, seed: int, repeats: int) -> Dict[str, object]:
     assert_backend_parity(scale, seed)
     cells = {
-        cell: measure_cell(scale, scheduler_name, batch_of(scale), seed, repeats)
-        for cell, scheduler_name, batch_of in CELLS
+        cell: measure_cell(scale, scheduler_name, churn, seed, repeats)
+        for cell, scheduler_name, churn in CELLS
     }
     return {
         "n_tasks": scale.n_tasks,
