@@ -28,7 +28,8 @@ conservation invariant that every arrived task completes exactly once:
   the front of the unscheduled queue and the policy is re-invoked;
 * the pending completion event of the lost in-flight task is cancelled;
 * offline workers are never handed tasks, and assignments a policy maps to
-  them are diverted by the master to the least-loaded online queue.
+  them are diverted by the master to the online queue with the shortest
+  estimated drain time.
 """
 
 from __future__ import annotations
