@@ -249,6 +249,7 @@ class Master:
         if not self.unscheduled or len(self._offline) == self.n_processors:
             return None
         ctx = self.build_context(time)
+        online = ctx.online
         batch_size = self.scheduler.preferred_batch_size(ctx, len(self.unscheduled))
         if batch_size <= 0:
             return None
@@ -271,7 +272,6 @@ class Master:
         # The master refuses to enqueue work for a vanished worker: tasks a
         # policy maps to an offline processor are diverted, in queue order, to
         # the online queue with the shortest estimated drain time.
-        online = ctx.online
         for proc, queue in enumerate(assignment.iter_queues()):
             for task_id in queue:
                 task = by_id[task_id]
@@ -308,6 +308,7 @@ class Master:
         the caller fall back to the per-task path.
         """
         ctx = self.build_context(time)
+        online = ctx.online
         tasks = list(self.unscheduled)
         sizes = np.array([task.size_mflops for task in tasks], dtype=float)
         wave = self.scheduler.select_processors_wave(sizes, ctx)
@@ -321,7 +322,7 @@ class Master:
                 f"scheduler {self.scheduler.name}: wave kernel returned an "
                 f"invalid processor selection"
             )
-        if ctx.online is not None and not ctx.online[procs].all():
+        if online is not None and not online[procs].all():
             raise SimulationError(
                 f"scheduler {self.scheduler.name}: wave kernel placed a task on "
                 f"an offline processor"
