@@ -49,11 +49,34 @@ class TestSchedulingContext:
             dict(rates=np.array([0.0]), pending_loads=np.zeros(1), comm_costs=np.zeros(1)),
             dict(rates=np.ones(2), pending_loads=np.zeros(3), comm_costs=np.zeros(2)),
             dict(rates=np.ones(2), pending_loads=-np.ones(2), comm_costs=np.zeros(2)),
+            dict(
+                rates=np.ones(2),
+                pending_loads=np.zeros(2),
+                comm_costs=np.zeros(2),
+                online=np.ones(3, dtype=bool),
+            ),
+            dict(
+                rates=np.ones(2),
+                pending_loads=np.zeros(2),
+                comm_costs=np.zeros(2),
+                online=np.zeros(2, dtype=bool),
+            ),
         ],
     )
     def test_invalid_contexts_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             SchedulingContext(time=0.0, **kwargs)
+
+    def test_online_mask_is_normalised_and_copied(self):
+        state = dict(time=0.0, rates=np.ones(3), pending_loads=np.zeros(3), comm_costs=np.zeros(3))
+        # An all-online mask means "every worker is online": None.
+        assert SchedulingContext(**state, online=[True, True, True]).online is None
+        ctx = SchedulingContext(**state, online=[1, 0, 1])
+        assert ctx.online.dtype == bool
+        assert ctx.online.tolist() == [True, False, True]
+        clone = ctx.copy()
+        clone.online[0] = False
+        assert ctx.online[0]
 
 
 class TestScheduleAssignment:
