@@ -9,7 +9,7 @@ then demonstrates the two properties the subsystem exists for:
   computed cells (``max_cells``), then resumed; the resumed aggregates are
   asserted bit-identical to an uninterrupted reference run;
 * **warm-store rerun** — running the same campaign again computes zero
-  cells, because every cell's cache key (spec + seed entropy + backends +
+  cells, because every cell's cache key (spec + seed entropy +
   code-contract version) is already present.
 
 The same functionality is available from the CLI::
@@ -21,7 +21,7 @@ The same functionality is available from the CLI::
 
 Run with::
 
-    python examples/campaign_run.py [--jobs 2] [--executor async] [--seed 7]
+    python examples/campaign_run.py [--jobs 2] [--seed 7]
 """
 
 from __future__ import annotations
@@ -35,12 +35,6 @@ from repro.campaigns import CampaignSpec, ResultStore, SweepSpec, run_campaign
 def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--jobs", type=int, default=1, help="worker processes")
-    parser.add_argument(
-        "--executor",
-        default="process",
-        choices=("serial", "process", "async"),
-        help="executor family sharding the cells",
-    )
     parser.add_argument("--scale", default="smoke", help="experiment scale preset")
     parser.add_argument("--seed", type=int, default=7, help="master random seed")
     return parser.parse_args()
@@ -70,20 +64,14 @@ def main() -> None:
 
         # 1. Simulate a mid-campaign kill: stop after two computed cells.
         store = ResultStore(store_dir)
-        partial = run_campaign(
-            spec,
-            store,
-            jobs=args.jobs,
-            executor_kind=args.executor,
-            max_cells=2,
-        )
+        partial = run_campaign(spec, store, jobs=args.jobs, max_cells=2)
         print(
             f"interrupted run: {partial.computed}/{partial.total_cells} cells, "
             f"reason={partial.interrupt_reason!r}, manifest={partial.manifest_path}"
         )
 
         # 2. Resume: only the missing cells are computed...
-        resumed = run_campaign(spec, store, jobs=args.jobs, executor_kind=args.executor)
+        resumed = run_campaign(spec, store, jobs=args.jobs)
         print(
             f"resumed run: {resumed.computed} computed, {resumed.cached} cached "
             f"(of {resumed.total_cells})"

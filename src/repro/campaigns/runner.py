@@ -9,8 +9,8 @@ ResultStore`:
   *cells* — picklable leaf jobs with stable cache keys;
 * :func:`run_campaign` computes only the cells missing from the store,
   streaming them through any :class:`~repro.parallel.ExperimentExecutor`
-  (serial, process pool, or the async work-stealing pool) and
-  **checkpointing the campaign manifest after every completed cell**;
+  (serial or the process pool) and **checkpointing the campaign manifest
+  after every completed cell**;
 * aggregates are always folded from the *stored* records in cell order, so
   a run interrupted after k of n cells and then resumed produces aggregates
   bit-identical to an uninterrupted run — and a warm-store rerun computes
@@ -29,6 +29,7 @@ import json
 import logging
 import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -169,7 +170,7 @@ def expand_campaign(spec: CampaignSpec) -> CampaignPlan:
     cells: List[CampaignCell] = []
     plan = CampaignPlan(spec=spec, scale=scale, cells=cells)
 
-    worker_scale = scale.scaled(jobs=1, executor="serial")
+    worker_scale = scale.scaled(jobs=1)
     for figure_id in spec.figures:
         job = FigureJob(figure_id=figure_id, scale=worker_scale, seed=spec.seed)
         cells.append(
@@ -430,7 +431,6 @@ def run_campaign(
     *,
     executor: Optional[ExperimentExecutor] = None,
     jobs: Optional[int] = None,
-    executor_kind: Optional[str] = None,
     max_cells: Optional[int] = None,
 ) -> CampaignResult:
     """Run (or resume) *spec* against *store*.
@@ -441,7 +441,10 @@ def run_campaign(
     next result is consumed.  ``max_cells`` stops the run after that many
     *computed* cells (the deterministic stand-in for an interruption: CI
     kills a campaign this way and then asserts resume bit-identity);
-    Ctrl-C is handled the same way, keeping every already-completed cell.
+    Ctrl-C and a crashed worker process are handled the same way, keeping
+    every already-completed cell; ``interrupt_reason`` records which of
+    ``"max-cells"``, ``"keyboard-interrupt"`` or ``"worker-crash"`` stopped
+    the run.
 
     Aggregates are only attached when every cell has a stored result, and
     are always folded from the store in cell order — see
@@ -455,11 +458,7 @@ def run_campaign(
     # processes) before returning.  An explicitly supplied one is the
     # caller's to manage.
     owns_executor = executor is None
-    executor = resolve_executor(
-        executor,
-        jobs if jobs is not None else scale.jobs,
-        executor_kind if executor_kind is not None else scale.executor,
-    )
+    executor = resolve_executor(executor, jobs if jobs is not None else scale.jobs)
 
     # A manifest written by a *different* campaign must not be silently
     # overwritten: distinct names can sanitise onto the same file.
@@ -584,7 +583,8 @@ def run_campaign(
                     manifest_path = checkpoint()
             except (KeyboardInterrupt, ExperimentInterrupted) as exc:
                 interrupted = True
-                interrupt_reason = "keyboard-interrupt"
+                crashed = isinstance(exc.__cause__, BrokenProcessPool)
+                interrupt_reason = "worker-crash" if crashed else "keyboard-interrupt"
                 if isinstance(exc, ExperimentInterrupted):
                     # The executor surfaced results that completed before the
                     # interrupt but were never consumed: keep them, they are paid for.

@@ -23,9 +23,8 @@ Canonical fingerprints
   triples, so a spec embedding a large batch problem hashes in one pass
   without serialising megabytes into the key material;
 * execution-routing fields that cannot affect results are excluded
-  (``ExperimentScale.jobs`` / ``.executor``, ``SimulationConfig.
-  phase_timing``): a cell computed with ``--jobs 8 --executor async`` must
-  hit the cache of a serial run.
+  (``ExperimentScale.jobs``, ``SimulationConfig.phase_timing``): a cell
+  computed with ``--jobs 8`` must hit the cache of a serial run.
 
 Anything stateful or unserialisable — live RNGs, ``SeedSequence`` objects,
 callables such as custom cluster factories — is rejected rather than
@@ -72,7 +71,7 @@ STORE_FORMAT_VERSION = 1
 #: Fields excluded from fingerprints per class name: execution routing and
 #: observability knobs that provably cannot change any result bit.
 FINGERPRINT_EXCLUDED_FIELDS: Dict[str, frozenset] = {
-    "ExperimentScale": frozenset({"jobs", "executor"}),
+    "ExperimentScale": frozenset({"jobs"}),
     "SimulationConfig": frozenset({"phase_timing"}),
     # A trace workload's identity is its content hash (sha256) and task
     # count; the path a replayed file happens to live at must not split the

@@ -21,9 +21,9 @@ Usage examples::
 
 ``--jobs N`` shards the independent repeats of an experiment (or the cells
 of a scenario matrix / campaign) across ``N`` worker processes (see
-:mod:`repro.parallel`); ``--executor async`` swaps in the work-stealing
-pool.  All stochastic results are bit-identical to a serial run with the
-same seed (only measured wall-clock values, e.g. fig4's seconds, vary with
+:mod:`repro.parallel`); ``--jobs 1`` runs them serially in-process.  All
+stochastic results are bit-identical to a serial run with the same seed
+(only measured wall-clock values, e.g. fig4's seconds, vary with
 contention).  Campaigns persist every completed cell to a content-addressed
 store, so re-runs and resumes only compute the missing delta.
 """
@@ -66,7 +66,7 @@ from .experiments.reporting import (
 )
 from .experiments.runner import compare_schedulers
 from .io.results import save_scenario_matrix_json
-from .parallel import EXECUTOR_KINDS, executor_from_jobs
+from .parallel import executor_from_jobs
 from .scenarios import (
     ScenarioCell,
     cell_workload,
@@ -296,12 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     camp_resume.add_argument("name", help="campaign name to resume")
     camp_resume.add_argument(
         "--jobs", type=int, default=None, metavar="N", help="worker processes"
-    )
-    camp_resume.add_argument(
-        "--executor",
-        default=None,
-        choices=sorted(EXECUTOR_KINDS),
-        help="executor family for the resumed cells",
     )
     _add_campaign_run_options(camp_resume)
     camp_watch = camp_sub.add_parser(
@@ -589,17 +583,6 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
             "for any value, only measured wall-clock values vary"
         ),
     )
-    parser.add_argument(
-        "--executor",
-        default=None,
-        choices=sorted(EXECUTOR_KINDS),
-        help=(
-            "executor family when --jobs > 1: 'process' shards jobs over a "
-            "chunked process pool (default), 'async' over the work-stealing "
-            "pool (better with uneven cell costs), 'serial' forces "
-            "in-process execution; aggregates are bit-identical either way"
-        ),
-    )
     _add_telemetry_option(parser)
 
 
@@ -763,14 +746,11 @@ def _normalize_jobs(jobs: Optional[int]) -> Optional[int]:
 
 
 def _scale_from_args(args: argparse.Namespace):
-    """The selected scale preset, with ``--jobs`` / ``--executor`` applied."""
+    """The selected scale preset, with ``--jobs`` applied."""
     scale = get_scale(args.scale)
     jobs = _normalize_jobs(getattr(args, "jobs", None))
     if jobs is not None:
         scale = scale.scaled(jobs=jobs)
-    executor_kind = getattr(args, "executor", None)
-    if executor_kind is not None:
-        scale = scale.scaled(executor=executor_kind)
     return scale
 
 
@@ -792,7 +772,7 @@ def _cmd_list() -> int:
 
 def _cmd_figure(figure_id: str, args: argparse.Namespace) -> int:
     scale = _scale_from_args(args)
-    executor = executor_from_jobs(scale.jobs, scale.executor)
+    executor = executor_from_jobs(scale.jobs)
     try:
         result = run_figure(figure_id, scale=scale, seed=args.seed, executor=executor)
     finally:
@@ -804,7 +784,7 @@ def _cmd_figure(figure_id: str, args: argparse.Namespace) -> int:
 def _cmd_all(args: argparse.Namespace) -> int:
     scale = _scale_from_args(args)
     # One executor (and hence one worker pool) shared by all nine figures.
-    executor = executor_from_jobs(scale.jobs, scale.executor)
+    executor = executor_from_jobs(scale.jobs)
     results = []
     try:
         for figure_id in list_figures():
@@ -828,7 +808,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     scale = _scale_from_args(args)
     n_tasks = args.tasks or scale.n_tasks
     spec = workload_by_name(args.workload, n_tasks)
-    executor = executor_from_jobs(scale.jobs, scale.executor)
+    executor = executor_from_jobs(scale.jobs)
     try:
         comparison = compare_schedulers(
             spec,
@@ -863,7 +843,7 @@ def _cmd_scenarios_list(args: argparse.Namespace) -> int:
 
 def _cmd_scenarios_run(args: argparse.Namespace) -> int:
     scale = _scale_from_args(args)
-    executor = executor_from_jobs(scale.jobs, scale.executor)
+    executor = executor_from_jobs(scale.jobs)
     try:
         result = run_scenario_matrix(
             args.names,
@@ -947,7 +927,6 @@ def _run_campaign_from_spec(spec: CampaignSpec, store: ResultStore, args) -> int
         spec,
         store,
         jobs=jobs,
-        executor_kind=getattr(args, "executor", None),
         max_cells=getattr(args, "max_cells", None),
     )
     _print_campaign_result(result)
@@ -1151,11 +1130,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 return _cmd_telemetry(args)
             return _cmd_figure(args.command, args)
     except ExperimentInterrupted as exc:
-        # Ctrl-C mid-map: the executors already terminated their workers.
-        # 130 is the conventional SIGINT exit code, distinct from 2
-        # (configuration errors) and 3 (resumable campaign interruption).
-        print(f"interrupted: {exc}", file=sys.stderr)
-        return 130
+        # Ctrl-C mid-map, or a worker process died: the executor already
+        # terminated its workers.  130 is the conventional SIGINT exit code,
+        # distinct from 2 (configuration errors) and 3 (resumable campaign
+        # interruption); a crashed worker exits 1 like any other failure.
+        cause = exc.__cause__
+        print(f"interrupted: {exc}" + (f" ({cause})" if cause else ""), file=sys.stderr)
+        return 130 if cause is None else 1
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

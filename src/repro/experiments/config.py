@@ -15,7 +15,6 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Sequence
 
-from ..parallel.executor import EXECUTOR_KINDS
 from ..util.errors import ConfigurationError
 from ..util.validation import require_positive_int
 
@@ -55,13 +54,6 @@ class ExperimentScale:
         / figure conditions); ``1`` runs everything serially in-process.
         Aggregates are bit-identical for any value — see
         :mod:`repro.parallel`.
-    executor:
-        Which executor family shards the work when ``jobs > 1``:
-        ``"process"`` (the chunked process pool, the default) or ``"async"``
-        (the work-stealing pool of
-        :mod:`repro.parallel.async_executor`); ``"serial"`` forces
-        in-process execution regardless of ``jobs``.  Aggregates are
-        bit-identical for any choice; CLI ``--executor`` overrides it.
     """
 
     name: str
@@ -75,7 +67,6 @@ class ExperimentScale:
     bar_comm_cost_mean: float = 20.0
     convergence_generations: int = 100
     jobs: int = 1
-    executor: str = "process"
 
     def __post_init__(self) -> None:
         require_positive_int(self.n_tasks, "n_tasks")
@@ -86,11 +77,6 @@ class ExperimentScale:
         require_positive_int(self.repeats, "repeats")
         require_positive_int(self.convergence_generations, "convergence_generations")
         require_positive_int(self.jobs, "jobs")
-        if self.executor not in EXECUTOR_KINDS:
-            raise ConfigurationError(
-                f"unknown executor {self.executor!r}; "
-                f"expected one of {list(EXECUTOR_KINDS)}"
-            )
         if not self.comm_cost_means:
             raise ConfigurationError("comm_cost_means must contain at least one value")
         if any(c <= 0 for c in self.comm_cost_means):

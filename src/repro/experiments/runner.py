@@ -149,7 +149,7 @@ def compare_schedulers(
     unknown = [n for n in names if n.upper() not in ALL_SCHEDULER_NAMES]
     if unknown:
         raise ConfigurationError(f"unknown schedulers requested: {unknown}")
-    executor = resolve_executor(executor, scale.jobs, scale.executor)
+    executor = resolve_executor(executor, scale.jobs)
 
     # One 64-bit draw per repeat from the master stream, exactly as the serial
     # harness has always consumed it; each draw seeds the repeat's private

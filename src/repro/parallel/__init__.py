@@ -8,9 +8,7 @@ bit-identical to a serial run with the same master seed.  See
 :mod:`repro.parallel.jobs` for the picklable job specs.
 """
 
-from .async_executor import AsyncWorkStealingExecutor
 from .executor import (
-    EXECUTOR_KINDS,
     ExperimentExecutor,
     ParallelExecutor,
     SerialExecutor,
@@ -27,11 +25,9 @@ from .jobs import (
 )
 
 __all__ = [
-    "EXECUTOR_KINDS",
     "ExperimentExecutor",
     "SerialExecutor",
     "ParallelExecutor",
-    "AsyncWorkStealingExecutor",
     "executor_from_jobs",
     "resolve_executor",
     "ComparisonRepeatJob",

@@ -9,17 +9,15 @@ repeat loop embarrassingly parallel, so the harness routes it through an
 * :class:`SerialExecutor` runs jobs in-process, one after another — the
   reference behaviour, and the default;
 * :class:`ParallelExecutor` shards jobs across a
-  :class:`concurrent.futures.ProcessPoolExecutor`;
-* :class:`~repro.parallel.async_executor.AsyncWorkStealingExecutor` (module
-  :mod:`repro.parallel.async_executor`) shards them across a work-stealing
-  worker pool with asynchronous, completion-driven dispatch.
+  :class:`concurrent.futures.ProcessPoolExecutor`.
 
-All executors apply the *same* worker function to the *same* job specs and
-return results in submission order, so aggregates computed from a parallel
-run are bit-identical to the serial run with the same master seed.  Job specs
-and worker functions must be picklable for the parallel paths (module-level
+The jobs count alone picks between them (:func:`executor_from_jobs`).  Both
+apply the *same* worker function to the *same* job specs and return results
+in submission order, so aggregates computed from a parallel run are
+bit-identical to the serial run with the same master seed.  Job specs and
+worker functions must be picklable for the parallel path (module-level
 functions plus plain dataclasses of numpy arrays and scalars); if a job
-cannot be pickled the parallel executors transparently degrade to in-process
+cannot be pickled the parallel executor transparently degrades to in-process
 execution rather than failing the experiment.
 
 Streaming (``imap``)
@@ -29,9 +27,12 @@ order, while later jobs may execute concurrently.  Consumers that checkpoint
 after every result (the campaign runner persists each completed cell to its
 result store) use it so an interrupted run loses at most the bounded set of
 in-flight jobs.  A ``KeyboardInterrupt`` during a parallel ``map``/``imap``
-terminates the worker processes instead of hanging on the pool join and is
-re-raised as :class:`~repro.util.errors.ExperimentInterrupted` carrying the
-results completed so far.
+terminates the worker processes instead of hanging on the pool join, and a
+worker process that dies mid-job (OOM killer, segfault) breaks the pool;
+either way the executor raises
+:class:`~repro.util.errors.ExperimentInterrupted` carrying the results
+completed so far.  Nothing is retried: a job that kills its worker
+deterministically would kill the retry too.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import pickle
 import warnings
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterator, List, Optional, Sequence, TypeVar
 
 from ..telemetry import unwrap as _telemetry_unwrap
@@ -49,7 +51,6 @@ from ..telemetry.monitor import wrap_jobs_fn as _monitor_wrap
 from ..util.errors import ConfigurationError, ExperimentInterrupted
 
 __all__ = [
-    "EXECUTOR_KINDS",
     "ExperimentExecutor",
     "SerialExecutor",
     "ParallelExecutor",
@@ -59,13 +60,6 @@ __all__ = [
 
 J = TypeVar("J")
 R = TypeVar("R")
-
-#: Executor families selectable via ``ExperimentScale.executor`` / CLI
-#: ``--executor``.  ``"serial"`` forces in-process execution regardless of the
-#: jobs count; ``"process"`` and ``"async"`` choose the implementation used
-#: when ``jobs > 1``.
-EXECUTOR_KINDS = ("serial", "process", "async")
-
 
 class ExperimentExecutor(ABC):
     """Maps a worker function over a list of independent job specs.
@@ -137,32 +131,6 @@ def _run_chunk(fn: Callable[[J], R], chunk: Sequence[J]) -> List[R]:
     return [fn(job) for job in chunk]
 
 
-def probe_picklable(fn: Callable, jobs: Sequence) -> bool:
-    """Whether *fn* and a representative job cross a process boundary.
-
-    Probes the function and the first job only; the harness's job lists are
-    homogeneous, so serialising all of them here would just double the
-    pickling work of the common (picklable) case.  Shared by every parallel
-    executor so the probe (and its failure semantics) cannot drift.
-    """
-    try:
-        pickle.dumps(fn)
-        pickle.dumps(jobs[0])
-        return True
-    except Exception:
-        return False
-
-
-def warn_serial_fallback(stacklevel: int = 3) -> None:
-    """Emit the shared not-picklable degradation warning."""
-    warnings.warn(
-        "job spec or worker function is not picklable; "
-        "running serially in-process instead",
-        RuntimeWarning,
-        stacklevel=stacklevel,
-    )
-
-
 class ParallelExecutor(ExperimentExecutor):
     """Shard jobs across worker processes.
 
@@ -176,7 +144,10 @@ class ParallelExecutor(ExperimentExecutor):
     A ``KeyboardInterrupt`` while jobs are in flight terminates the worker
     processes (rather than hanging on the pool join waiting for running jobs)
     and raises :class:`~repro.util.errors.ExperimentInterrupted` with the
-    results that completed before the interrupt.
+    results that completed before the interrupt.  A worker that dies
+    mid-job breaks the pool the same way: the executor drops it (the next
+    ``map`` recreates it) and raises ``ExperimentInterrupted`` with the
+    :class:`~concurrent.futures.process.BrokenProcessPool` as its cause.
 
     Parameters
     ----------
@@ -231,9 +202,20 @@ class ParallelExecutor(ExperimentExecutor):
     def _fallback_serial(self, fn, jobs) -> bool:
         if self.jobs <= 1 or len(jobs) <= 1:
             return True
-        if not probe_picklable(fn, jobs):
+        # Probe the function and the first job only: the harness's job lists
+        # are homogeneous, so serialising all of them here would just double
+        # the pickling work of the common (picklable) case.
+        try:
+            pickle.dumps(fn)
+            pickle.dumps(jobs[0])
+        except Exception:
             self._degraded = True
-            warn_serial_fallback()
+            warnings.warn(
+                "job spec or worker function is not picklable; "
+                "running serially in-process instead",
+                RuntimeWarning,
+                stacklevel=3,
+            )
             return True
         return False
 
@@ -266,14 +248,17 @@ class ParallelExecutor(ExperimentExecutor):
                 for future in futures:
                     for result in future.result():
                         yield _telemetry_unwrap(result)
-            except KeyboardInterrupt:
+            except (KeyboardInterrupt, BrokenProcessPool) as exc:
+                # Ctrl-C, or a worker died and broke the pool: every job still
+                # pending is lost, but the finished chunks are paid for.
                 partial = {}
                 for k, future in enumerate(futures):
                     if future.done() and not future.cancelled() and future.exception() is None:
                         for offset, result in enumerate(future.result()):
                             partial[k * self.chunksize + offset] = _telemetry_unwrap(result)
                 self._terminate_workers()
-                raise ExperimentInterrupted(partial, len(jobs)) from None
+                cause = None if isinstance(exc, KeyboardInterrupt) else exc
+                raise ExperimentInterrupted(partial, len(jobs)) from cause
             except BaseException:
                 # The consumer abandoned the stream (GeneratorExit — e.g. the
                 # campaign runner stopping at --max-cells) or a job raised:
@@ -287,35 +272,19 @@ class ParallelExecutor(ExperimentExecutor):
         return _stream()
 
 
-def executor_from_jobs(jobs: Optional[int], kind: str = "process") -> ExperimentExecutor:
-    """Build the executor matching a ``jobs`` count (``None``/``1`` = serial).
-
-    *kind* selects the parallel implementation used when ``jobs > 1``:
-    ``"process"`` (the chunked process pool) or ``"async"`` (the
-    work-stealing pool); ``"serial"`` forces in-process execution regardless
-    of *jobs*.
-    """
-    if kind not in EXECUTOR_KINDS:
-        raise ConfigurationError(
-            f"unknown executor kind {kind!r}; expected one of {list(EXECUTOR_KINDS)}"
-        )
+def executor_from_jobs(jobs: Optional[int]) -> ExperimentExecutor:
+    """Build the executor matching a ``jobs`` count (``None``/``1`` = serial)."""
     if jobs is not None and int(jobs) < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    if kind == "serial" or jobs is None or int(jobs) == 1:
+    if jobs is None or int(jobs) == 1:
         return SerialExecutor()
-    if kind == "async":
-        from .async_executor import AsyncWorkStealingExecutor
-
-        return AsyncWorkStealingExecutor(int(jobs))
     return ParallelExecutor(int(jobs))
 
 
 def resolve_executor(
-    executor: Optional[ExperimentExecutor],
-    jobs: Optional[int],
-    kind: str = "process",
+    executor: Optional[ExperimentExecutor], jobs: Optional[int]
 ) -> ExperimentExecutor:
     """An explicitly supplied executor wins; otherwise build one from *jobs*."""
     if executor is not None:
         return executor
-    return executor_from_jobs(jobs, kind)
+    return executor_from_jobs(jobs)

@@ -487,9 +487,7 @@ def run_scenario_matrix(
     if n_repeats <= 0:
         raise ConfigurationError(f"repeats must be positive, got {n_repeats}")
 
-    executor = resolve_executor(
-        executor, jobs if jobs is not None else scale.jobs, scale.executor
-    )
+    executor = resolve_executor(executor, jobs if jobs is not None else scale.jobs)
     if sim_config is None:
         # Phase timing is on for matrix cells: the per-phase records guide
         # hot-path work and the per-cell clock reads are in the noise next to

@@ -10,7 +10,7 @@ The subsystem's pieces:
 * :mod:`~repro.telemetry.resources` — per-span CPU/RSS/GC attribution
   (opt-in per session, off by default);
 * :mod:`~repro.telemetry.remote` — forwarding of worker-side spans/metrics
-  through the parallel executors back to the driver's tree;
+  through the process-pool executor back to the driver's tree;
 * :mod:`~repro.telemetry.export` — JSONL export/import with
   content-addressed run ids (``repro telemetry`` reads these);
 * :mod:`~repro.telemetry.introspect` — tree rendering, hot-phase summaries

@@ -2,7 +2,7 @@
 
 The metrics registry complements spans: spans answer *where did the time
 go*, metrics answer *how much work happened* (events popped, tombstones
-skipped, kernel batch sizes, queue depths, steal counts).  Instruments are
+skipped, kernel batch sizes, queue depths).  Instruments are
 get-or-create by name, snapshot to plain JSON-able dicts, and merge
 additively across process boundaries — counters and histogram bins sum,
 gauges are last-writer-wins.

@@ -1,6 +1,6 @@
 """Cross-process telemetry: forward worker-side spans/metrics to the driver.
 
-The parallel executors ship jobs to worker processes; spans recorded there
+The process-pool executor ships jobs to worker processes; spans recorded there
 live in the worker's memory and would be lost at join.  The bridge is a
 picklable function wrapper plus a picklable result envelope:
 
@@ -18,9 +18,9 @@ picklable function wrapper plus a picklable result envelope:
   whatever span the driver currently has open, with ``pid-<n>`` worker
   attribution — and hands the bare result onward.
 
-Because the executors yield in job order, merged subtrees land in the
-driver's tree in job order too, regardless of which worker computed (or
-stole) the job.
+Because the executor yields in job order, merged subtrees land in the
+driver's tree in job order too, regardless of which worker computed the
+job.
 """
 
 from __future__ import annotations

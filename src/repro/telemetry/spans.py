@@ -17,9 +17,9 @@ active, :func:`span` returns a shared no-op context manager and
 module-level helpers pays (almost) nothing unless someone asked to observe
 it.
 
-Sessions are process-local.  Cross-process runs (the process-pool and
-work-stealing executors) create one session per worker-side job, snapshot
-it, and ship the snapshot back with the result; the driver merges it under
+Sessions are process-local.  Cross-process runs (the process-pool
+executor) create one session per worker-side job, snapshot it, and ship
+the snapshot back with the result; the driver merges it under
 its own open span with per-worker attribution — see
 :mod:`repro.telemetry.remote`.
 """
@@ -378,9 +378,9 @@ class PhaseTimer:
     accumulation API (``measure`` / ``record`` / ``total`` / ``count`` /
     ``grand_total``) but each consumer owns a private instance and emits its
     totals into the active session exactly once, at :meth:`flush`.  That
-    per-run ownership is what makes phase attribution safe under the async
-    work-stealing executor — concurrent cells each flush their own subtree
-    instead of interleaving samples into one shared flat dict.
+    per-run ownership is what makes phase attribution safe when cells run
+    concurrently — each flushes its own subtree instead of interleaving
+    samples into one shared flat dict.
     """
 
     __slots__ = ("totals", "counts")

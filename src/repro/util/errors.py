@@ -53,13 +53,16 @@ class WorkloadError(ReproError, ValueError):
 
 
 class ExperimentInterrupted(ReproError, RuntimeError):
-    """An executor map was interrupted (Ctrl-C) before every job finished.
+    """An executor map was interrupted before every job finished.
 
-    Raised by the parallel executors after they have terminated their worker
-    processes, instead of letting the ``KeyboardInterrupt`` hang on the pool
-    join.  ``partial`` maps *job indices* to completed results the caller
-    has not otherwise received — at least every result that finished but was
-    never delivered through ``map``/``imap`` — so callers (e.g. the campaign
+    Raised by the process-pool executor on Ctrl-C or when a worker process
+    dies mid-job, after it has terminated its worker processes (instead of
+    letting the ``KeyboardInterrupt`` hang on the pool join).  A crashed
+    worker's :class:`~concurrent.futures.process.BrokenProcessPool` is the
+    exception's ``__cause__``; after Ctrl-C the cause is ``None``.
+    ``partial`` maps *job indices* to completed results the caller has not
+    otherwise received — at least every result that finished but was never
+    delivered through ``map``/``imap`` — so callers (e.g. the campaign
     runner) can persist the work already paid for.
     """
 

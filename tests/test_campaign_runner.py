@@ -5,6 +5,7 @@ Load-bearing guarantees:
 * a campaign interrupted after k of n cells resumes to aggregates
   bit-identical to an uninterrupted run;
 * a warm-store rerun computes zero cells;
+* a crashed worker loses only its own cell: every finished cell is stored;
 * store hits are bit-identical to fresh computation, on both sim engines;
 * a manifest naming a retired backend option still resumes, with a warning;
 * campaign aggregates equal the direct ``run_scenario_matrix`` /
@@ -13,6 +14,8 @@ Load-bearing guarantees:
 
 import json
 import logging
+import os
+import time
 
 import pytest
 
@@ -24,11 +27,12 @@ from repro.campaigns import (
     load_manifest,
     run_campaign,
 )
+from repro.campaigns import runner as runner_module
 from repro.campaigns import store as store_module
 from repro.campaigns.runner import run_campaign_cell
 from repro.cli import main
 from repro.experiments import get_scale, sweep_ga_parameter
-from repro.parallel import AsyncWorkStealingExecutor, ParallelExecutor
+from repro.parallel import ParallelExecutor
 from repro.scenarios import run_scenario_matrix
 from repro.util.errors import ConfigurationError
 
@@ -155,19 +159,34 @@ class TestRunResumeCache:
         assert resumed.cached == k and resumed.computed == partial.total_cells - k
         assert resumed.aggregates == reference_aggregates
 
-    def test_parallel_and_async_executors_match_serial(
-        self, spec, reference_aggregates, tmp_path
-    ):
+    def test_parallel_executor_matches_serial(self, spec, reference_aggregates, tmp_path):
         with ParallelExecutor(2) as executor:
             store = ResultStore(tmp_path / "process-store")
             result = run_campaign(spec, store, executor=executor)
         assert result.complete
         assert result.aggregates == reference_aggregates
-        with AsyncWorkStealingExecutor(2) as executor:
-            store = ResultStore(tmp_path / "async-store")
-            result = run_campaign(spec, store, executor=executor)
-        assert result.complete
-        assert result.aggregates == reference_aggregates
+
+    def test_worker_crash_keeps_finished_cells(
+        self, spec, reference_aggregates, tmp_path, monkeypatch
+    ):
+        crashed = "scenario:failure-storm/EF/r0"
+        monkeypatch.setattr(
+            runner_module,
+            "run_campaign_cell",
+            _CrashOnce(crashed, str(tmp_path / "crashed.flag")),
+        )
+        store = ResultStore(tmp_path / "store")
+        with ParallelExecutor(2) as executor:
+            partial = run_campaign(spec, store, executor=executor)
+            assert partial.interrupted and partial.interrupt_reason == "worker-crash"
+            assert load_manifest(store, spec.name)["interrupt_reason"] == "worker-crash"
+            # Every cell but the crashed one reached the store.
+            assert partial.computed == partial.total_cells - 1
+            resumed = run_campaign(spec, store, executor=executor)
+        assert resumed.complete
+        assert resumed.cached == resumed.total_cells - 1
+        assert [c["cell_id"] for c in resumed.cells if c["status"] == "computed"] == [crashed]
+        assert resumed.aggregates == reference_aggregates
 
     def test_store_hits_are_bit_identical_to_fresh_computation(self, tmp_path):
         """On both engines: stored payload == recomputed payload."""
@@ -247,6 +266,26 @@ class TestRunResumeCache:
         assert resumed["computed_cells"] == resumed["total_cells"] == fresh.total_cells
         # ...to exactly the aggregates of a fresh run.
         assert resumed["aggregates"] == fresh.aggregates
+
+
+class _CrashOnce:
+    """Campaign cell function whose *cell_id* cell hard-exits its worker once.
+
+    The crash comes long after the other cells' whole run time (~0.2 s), so
+    the surviving worker has finished every other cell when the pool breaks.
+    """
+
+    def __init__(self, cell_id, flag_path):
+        self.cell_id = cell_id
+        self.flag_path = flag_path
+
+    def __call__(self, cell):
+        if cell.cell_id == self.cell_id and not os.path.exists(self.flag_path):
+            with open(self.flag_path, "w", encoding="utf8") as handle:
+                handle.write("crashed")
+            time.sleep(2.0)
+            os._exit(17)  # hard-kill this worker process mid-cell
+        return run_campaign_cell(cell)
 
 
 class TestAggregatesMatchDirectRuns:

@@ -75,7 +75,6 @@ class TestFingerprint:
     def test_execution_routing_fields_are_excluded(self):
         scale = get_scale("smoke")
         assert fingerprint(scale) == fingerprint(scale.scaled(jobs=8))
-        assert fingerprint(scale) == fingerprint(scale.scaled(executor="async"))
         config = SimulationConfig()
         assert fingerprint(config) == fingerprint(SimulationConfig(phase_timing=True))
         # ...but result-affecting fields are not

@@ -36,17 +36,20 @@ class TestParser:
             build_parser().parse_args(["fig5", "--sim-backend", "warp"])
 
     def test_retired_backend_options_rejected(self, capsys):
-        # The backend options are retired: argparse rejects each one, even
-        # with a value it once accepted.
-        for command, flag, value in [
-            ("fig5", "--sim-backend", "event"),
-            ("compare", "--sim-backend", "fast"),
-            ("compare", "--ga-backend", "loop"),
-            ("compare", "--policy-backend", "loop"),
+        # The backend and executor options are retired: argparse rejects each
+        # one, even with a value it once accepted.
+        for argv in [
+            ["fig5", "--scale", "smoke", "--sim-backend", "event"],
+            ["compare", "--scale", "smoke", "--sim-backend", "fast"],
+            ["compare", "--scale", "smoke", "--ga-backend", "loop"],
+            ["compare", "--scale", "smoke", "--policy-backend", "loop"],
+            ["fig5", "--scale", "smoke", "--executor", "async"],
+            ["campaigns", "resume", "--store", "S", "ci", "--executor", "process"],
         ]:
             with pytest.raises(SystemExit) as exc:
-                main([command, "--scale", "smoke", flag, value])
+                main(argv)
             assert exc.value.code == 2
+            flag, value = argv[-2:]
             assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_missing_command_rejected(self):
@@ -190,37 +193,6 @@ class TestScenariosCLI:
         assert "unknown scenario" in capsys.readouterr().err
 
 
-class TestExecutorOption:
-    def test_executor_option_parses(self):
-        args = build_parser().parse_args(["fig5", "--executor", "async"])
-        assert args.executor == "async"
-
-    def test_invalid_executor_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig5", "--executor", "cluster"])
-
-    def test_compare_runs_with_async_executor(self, capsys):
-        code = main(
-            [
-                "compare",
-                "--scale",
-                "smoke",
-                "--seed",
-                "1",
-                "--tasks",
-                "20",
-                "--comm-cost",
-                "2.0",
-                "--jobs",
-                "2",
-                "--executor",
-                "async",
-            ]
-        )
-        assert code == 0
-        assert "async[2]" in capsys.readouterr().out
-
-
 class TestCampaignsCLI:
     def _run_args(self, store, extra=()):
         return [
@@ -283,6 +255,21 @@ class TestCampaignsCLI:
         assert code == 130
         err = capsys.readouterr().err
         assert "interrupted" in err and "1/5" in err
+
+    def test_crashed_worker_map_exits_1(self, capsys, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro import cli
+        from repro.util.errors import ExperimentInterrupted
+
+        def fake_run_figure(*args, **kwargs):
+            raise ExperimentInterrupted({0: "partial"}, 5) from BrokenProcessPool("died")
+
+        monkeypatch.setattr(cli, "run_figure", fake_run_figure)
+        code = main(["fig6", "--scale", "smoke", "--seed", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "1/5" in err and "(died)" in err
 
     def test_empty_campaign_fails_cleanly(self, capsys, tmp_path):
         code = main(

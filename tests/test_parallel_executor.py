@@ -4,11 +4,14 @@ The load-bearing guarantee is determinism: sharding repeats across worker
 processes must produce aggregates bit-identical to the serial run with the
 same master seed, and repeated serial runs must be bit-identical to each
 other.  These are regression tests for that contract, plus unit tests of the
-executor mechanics (ordering, fallback, construction).
+executor mechanics (ordering, fallback, construction, failure modes).
 """
 
 
+import os
+import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -22,7 +25,6 @@ from repro.experiments import (
     sweep_ga_parameter,
 )
 from repro.parallel import (
-    AsyncWorkStealingExecutor,
     ComparisonRepeatJob,
     GARunJob,
     ParallelExecutor,
@@ -45,6 +47,31 @@ def _interrupting(x):
         raise KeyboardInterrupt  # simulates Ctrl-C reaching a worker
     time.sleep(0.01)
     return x
+
+
+def _boom(x):
+    if x == 5:
+        raise ValueError("boom on 5")
+    return x
+
+
+class _UnpicklableError(Exception):
+    def __init__(self):
+        super().__init__("unpicklable")
+        self.lock = threading.Lock()  # cannot cross the process boundary
+
+
+def _raise_unpicklable(x):
+    if x == 5:
+        raise _UnpicklableError()
+    return x
+
+
+def _hard_exit_on_zero(x):
+    if x == 0:
+        time.sleep(1.0)  # let the other worker finish every other job first
+        os._exit(17)  # hard-kill this worker process mid-job
+    return x * x
 
 
 def _touch_marker(arg):
@@ -134,8 +161,6 @@ class TestExecutors:
         assert list(SerialExecutor().imap(_square, jobs)) == expected
         with ParallelExecutor(2) as executor:
             assert list(executor.imap(_square, jobs)) == expected
-        with AsyncWorkStealingExecutor(2) as executor:
-            assert list(executor.imap(_square, jobs)) == expected
 
     def test_serial_imap_is_lazy(self):
         calls = []
@@ -177,14 +202,38 @@ class TestExecutors:
         assert executor.map(_square, [3]) == [9]
         executor.close()
 
+    @pytest.mark.parametrize(
+        "fn, error, match",
+        [(_boom, ValueError, "boom on 5"), (_raise_unpicklable, TypeError, "pickle")],
+    )
+    def test_job_exception_propagates_and_pool_stays_usable(self, fn, error, match):
+        # An exception that cannot be pickled back surfaces as the pickling
+        # TypeError instead of killing the worker.
+        with ParallelExecutor(2) as executor:
+            with pytest.raises(error, match=match):
+                executor.map(fn, list(range(10)))
+            assert executor.map(_square, [2, 3]) == [4, 9]
+
+    def test_worker_crash_surfaces_finished_results(self):
+        executor = ParallelExecutor(2)
+        with pytest.raises(ExperimentInterrupted) as info:
+            executor.map(_hard_exit_on_zero, list(range(10)))
+        assert isinstance(info.value.__cause__, BrokenProcessPool)
+        # Nothing is retried: the crashed job is lost, the nine the other
+        # worker finished are surfaced for checkpointing...
+        assert info.value.total == 10
+        assert info.value.partial == {x: x * x for x in range(1, 10)}
+        # ...and the broken pool is dropped, so the next map recreates it.
+        assert executor._pool is None
+        assert executor.map(_square, [3, 4]) == [9, 16]
+        executor.close()
+
     def test_executor_from_jobs(self):
         assert isinstance(executor_from_jobs(None), SerialExecutor)
         assert isinstance(executor_from_jobs(1), SerialExecutor)
         parallel = executor_from_jobs(2)
         assert isinstance(parallel, ParallelExecutor)
         assert parallel.jobs == 2
-        assert isinstance(executor_from_jobs(2, "async"), AsyncWorkStealingExecutor)
-        assert isinstance(executor_from_jobs(8, "serial"), SerialExecutor)
         with pytest.raises(ConfigurationError):
             executor_from_jobs(0)
 
@@ -202,11 +251,6 @@ class TestExecutors:
     def test_scale_jobs_validated(self):
         with pytest.raises(Exception):
             get_scale("smoke").scaled(jobs=0)
-
-    def test_scale_executor_validated(self):
-        with pytest.raises(ConfigurationError, match="executor"):
-            get_scale("smoke").scaled(executor="cluster")
-        assert get_scale("smoke").scaled(executor="async").executor == "async"
 
 
 class TestComparisonJobDeterminism:
