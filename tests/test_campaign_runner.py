@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -32,9 +33,9 @@ from repro.campaigns import store as store_module
 from repro.campaigns.runner import run_campaign_cell
 from repro.cli import main
 from repro.experiments import get_scale, sweep_ga_parameter
-from repro.parallel import ParallelExecutor
+from repro.parallel import ExperimentExecutor, ParallelExecutor
 from repro.scenarios import run_scenario_matrix
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ExperimentInterrupted
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +189,29 @@ class TestRunResumeCache:
         assert [c["cell_id"] for c in resumed.cells if c["status"] == "computed"] == [crashed]
         assert resumed.aggregates == reference_aggregates
 
+    @pytest.mark.parametrize(
+        "stop, reason, stored",
+        [
+            ("ctrl-c", "keyboard-interrupt", [0]),
+            ("interrupted", "keyboard-interrupt", [0, 2]),
+            ("crashed", "worker-crash", [0, 2]),
+        ],
+    )
+    def test_interrupt_keeps_surfaced_cells_and_records_its_reason(
+        self, spec, reference_aggregates, tmp_path, stop, reason, stored
+    ):
+        store = ResultStore(tmp_path / "store")
+        partial = run_campaign(spec, store, executor=_StopAfterFirst(stop))
+        assert partial.interrupted and partial.interrupt_reason == reason
+        assert load_manifest(store, spec.name)["interrupt_reason"] == reason
+        # Cell 2 finished out of order: kept from the exception's partials.
+        computed = [i for i, c in enumerate(partial.cells) if c["status"] == "computed"]
+        assert computed == stored
+        resumed = run_campaign(spec, store)
+        assert resumed.complete
+        assert resumed.cached == len(stored)
+        assert resumed.aggregates == reference_aggregates
+
     def test_store_hits_are_bit_identical_to_fresh_computation(self, tmp_path):
         """On both engines: stored payload == recomputed payload."""
         spec = CampaignSpec(
@@ -266,6 +290,29 @@ class TestRunResumeCache:
         assert resumed["computed_cells"] == resumed["total_cells"] == fresh.total_cells
         # ...to exactly the aggregates of a fresh run.
         assert resumed["aggregates"] == fresh.aggregates
+
+
+class _StopAfterFirst(ExperimentExecutor):
+    """In-process executor that delivers job 0, then stops as *stop* says.
+
+    ``"ctrl-c"`` raises a bare ``KeyboardInterrupt`` (Ctrl-C in a serial
+    run); ``"interrupted"`` and ``"crashed"`` raise the process pool's
+    ``ExperimentInterrupted`` carrying job 2 as a finished partial, with no
+    cause or with a ``BrokenProcessPool`` cause.
+    """
+
+    def __init__(self, stop):
+        self.stop = stop
+
+    def map(self, fn, jobs):
+        return list(self.imap(fn, jobs))
+
+    def imap(self, fn, jobs):
+        yield fn(jobs[0])
+        if self.stop == "ctrl-c":
+            raise KeyboardInterrupt
+        cause = BrokenProcessPool("worker died") if self.stop == "crashed" else None
+        raise ExperimentInterrupted({2: fn(jobs[2])}, len(jobs)) from cause
 
 
 class _CrashOnce:

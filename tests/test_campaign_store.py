@@ -7,6 +7,7 @@ cannot be fingerprinted faithfully must be rejected rather than guessed at.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -14,6 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from repro.campaigns import CampaignSpec, SweepSpec, expand_campaign
 from repro.campaigns.store import (
     CODE_CONTRACT_VERSION,
     ResultStore,
@@ -163,11 +165,38 @@ class TestCacheKey:
             sort_keys=True,
             separators=(",", ":"),
         )
-        import hashlib
-
         assert hashlib.sha256(blob.encode()).hexdigest() == cache_key(
             "scenario_cell", cell
         )
+
+    @pytest.mark.parametrize(
+        "kind, digest",
+        [
+            ("figure", "7f55c9a0a86a631342d66f0b44d5c336fc8e93497c31f9077941b0331bd113a7"),
+            ("ga_run", "bbac58be18efcb7ffa785af6b4c2f219ea3b2b98749d82dc7b3f3982722a4066"),
+            (
+                "scenario_cell",
+                "9318f9a55b043696ad83e7750fc2bd1318a846e01b05d032de600880f03d9159",
+            ),
+        ],
+    )
+    def test_cell_keys_are_pinned(self, kind, digest):
+        # Stores written by earlier code stay valid only while the keys stay
+        # put: a change that moves them must bump CODE_CONTRACT_VERSION and
+        # re-pin these digests of every key of one kind, in cell order.
+        spec = CampaignSpec(
+            name="pinned",
+            scale="smoke",
+            seed=7,
+            figures=("fig6",),
+            scenarios=("failure-storm",),
+            schedulers=("EF", "LL"),
+            repeats=2,
+            sweeps=(SweepSpec(parameter="n_rebalances", values=(0, 1), repeats=2),),
+        )
+        keys = [c.key for c in expand_campaign(spec).cells if c.kind == kind]
+        assert keys
+        assert hashlib.sha256("".join(keys).encode()).hexdigest() == digest
 
 
 class TestResultStore:

@@ -1,9 +1,25 @@
 """Tests for the command-line interface."""
 
+import functools
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments.config import SCALES
+from repro.parallel import ExperimentExecutor
+from repro.util.errors import ExperimentInterrupted
+
+
+class _CrashAfterFirst(ExperimentExecutor):
+    """In-process executor that runs job 0, then fails like a broken pool."""
+
+    def map(self, fn, jobs):
+        return list(self.imap(fn, jobs))
+
+    def imap(self, fn, jobs):
+        yield fn(jobs[0])
+        raise ExperimentInterrupted({}, len(jobs)) from BrokenProcessPool("worker died")
 
 
 class TestParser:
@@ -52,6 +68,16 @@ class TestParser:
             flag, value = argv[-2:]
             assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
+    def test_jobs_option_parses(self, tmp_path):
+        parser = build_parser()
+        for argv in [
+            ["fig5", "--jobs", "2"],
+            ["compare", "--jobs", "2"],
+            ["campaigns", "run", "--store", str(tmp_path), "--jobs", "2"],
+            ["campaigns", "resume", "--store", str(tmp_path), "ci", "--jobs", "2"],
+        ]:
+            assert parser.parse_args(argv).jobs == 2, argv
+
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -84,6 +110,16 @@ class TestMain:
         assert code == 0
         out = capsys.readouterr().out
         assert "PN" in out and "makespan_mean" in out
+
+    def test_compare_runs_with_jobs(self, capsys):
+        argv = ["compare", "--scale", "smoke", "--seed", "1", "--tasks", "20"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert main([*argv, "--jobs", "2"]) == 0
+        parallel = capsys.readouterr().out
+        assert "executor=serial" in serial and "executor=process[2]" in parallel
+        # --jobs changes only the executor label, never the numbers.
+        assert parallel.replace("process[2]", "serial") == serial
 
     def test_compare_backends_print_identical_tables(self, capsys, monkeypatch):
         from repro.sim.simulation import DistributedSystemSimulation
@@ -296,6 +332,24 @@ class TestCampaignsCLI:
         assert main(self._run_args(store)) == 0
         out = capsys.readouterr().out
         assert "0 computed" in out and "2 cached" in out
+
+    def test_worker_crash_exits_3_with_resume_hint(self, capsys, tmp_path, monkeypatch):
+        from repro import cli
+        from repro.campaigns import run_campaign
+
+        monkeypatch.setattr(
+            cli, "run_campaign", functools.partial(run_campaign, executor=_CrashAfterFirst())
+        )
+        store = tmp_path / "store"
+        assert main(self._run_args(store, ["--jobs", "2"])) == 3
+        out = capsys.readouterr().out
+        assert "interrupted" in out and "1 computed" in out
+        assert "reason: worker-crash; resume with" in out
+        assert "campaigns resume --store <store> cli-test" in out
+        monkeypatch.undo()
+        assert main(["campaigns", "resume", "--store", str(store), "cli-test"]) == 0
+        out = capsys.readouterr().out
+        assert "complete" in out and "1 computed, 1 cached" in out
 
     def test_status_lists_campaigns(self, capsys, tmp_path):
         store = tmp_path / "store"

@@ -74,6 +74,25 @@ def _hard_exit_on_zero(x):
     return x * x
 
 
+def _uneven(x):
+    # One slow job at the head of the list: later jobs finish first, yet
+    # results must still come back in job order.
+    time.sleep(0.15 if x == 0 else 0.002)
+    return x
+
+
+def _wait_for_flag(arg):
+    index, flag_path = arg
+    if index == 0:
+        return True
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        if os.path.exists(flag_path):
+            return True
+        time.sleep(0.01)
+    return False
+
+
 def _touch_marker(arg):
     index, directory = arg
     with open(f"{directory}/{index}.marker", "w", encoding="utf8") as handle:
@@ -228,6 +247,52 @@ class TestExecutors:
         assert executor.map(_square, [3, 4]) == [9, 16]
         executor.close()
 
+    @pytest.mark.parametrize("chunksize", [1, 3, 7])
+    def test_chunked_map_preserves_order(self, chunksize):
+        # 40 jobs do not divide into chunks of 3 or 7: the short last chunk
+        # must land at the end, nothing dropped or duplicated.
+        with ParallelExecutor(2, chunksize=chunksize) as executor:
+            assert executor.map(_square, list(range(40))) == [x * x for x in range(40)]
+
+    def test_uneven_job_costs_keep_job_order(self):
+        with ParallelExecutor(2) as executor:
+            assert executor.map(_uneven, list(range(32))) == list(range(32))
+
+    def test_imap_streams_before_later_jobs_finish(self, tmp_path):
+        # Job 1 waits for a flag the consumer only writes after receiving
+        # job 0's result: a map materialised before yielding would time the
+        # job out (False) instead of streaming (True).
+        flag = str(tmp_path / "consumed.flag")
+        with ParallelExecutor(2) as executor:
+            stream = executor.imap(_wait_for_flag, [(0, flag), (1, flag)])
+            assert next(stream) is True
+            with open(flag, "w", encoding="utf8") as handle:
+                handle.write("0")
+            assert next(stream) is True
+            assert list(stream) == []
+
+    def test_worker_crash_partials_are_keyed_by_job_index_across_chunks(self):
+        # Chunks of two: the crash loses job 0 and its chunk-mate 1, and the
+        # finished chunks map back to their jobs' indices, not chunk indices.
+        executor = ParallelExecutor(2, chunksize=2)
+        with pytest.raises(ExperimentInterrupted) as info:
+            executor.map(_hard_exit_on_zero, list(range(10)))
+        assert isinstance(info.value.__cause__, BrokenProcessPool)
+        assert info.value.partial == {x: x * x for x in range(2, 10)}
+        executor.close()
+
+    def test_default_jobs_is_the_cpu_count(self):
+        assert ParallelExecutor().jobs == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize(
+        "jobs, label",
+        [(None, "serial"), (1, "serial"), (2, "process[2]"), (4, "process[4]")],
+    )
+    def test_jobs_count_alone_picks_the_executor(self, jobs, label):
+        executor = resolve_executor(None, jobs)
+        assert executor.describe() == label
+        assert executor.jobs == (jobs or 1)
+
     def test_executor_from_jobs(self):
         assert isinstance(executor_from_jobs(None), SerialExecutor)
         assert isinstance(executor_from_jobs(1), SerialExecutor)
@@ -266,6 +331,24 @@ class TestComparisonJobDeterminism:
             mean_comm_cost=5.0,
         )
         assert run_comparison_repeat(job).metrics == run_comparison_repeat(job).metrics
+
+    def test_chunked_repeats_match_serial(self, tiny_scale):
+        jobs = [
+            ComparisonRepeatJob(
+                seed_entropy=entropy,
+                workload_spec=normal_paper_workload(tiny_scale.n_tasks),
+                scheduler_names=("EF", "PN"),
+                n_processors=tiny_scale.n_processors,
+                batch_size=tiny_scale.batch_size,
+                max_generations=tiny_scale.max_generations,
+                mean_comm_cost=5.0,
+            )
+            for entropy in range(5)
+        ]
+        serial = SerialExecutor().map(run_comparison_repeat, jobs)
+        with ParallelExecutor(2, chunksize=2) as executor:
+            parallel = executor.map(run_comparison_repeat, jobs)
+        assert [o.metrics for o in serial] == [o.metrics for o in parallel]
 
     def test_ga_job_is_self_contained(self, tiny_scale):
         from repro.experiments import make_benchmark_problem

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.parallel import SerialExecutor, executor_from_jobs
+from repro.parallel import ParallelExecutor, SerialExecutor, executor_from_jobs
 from repro.schedulers import EarliestFirstScheduler, MinMinScheduler
 from repro.sim import DistributedSystemSimulation, SimulationConfig, simulate_schedule
 from repro.telemetry import (
@@ -394,13 +394,17 @@ class TestRNGInertness:
 class TestExecutorForwarding:
     """Span-tree integrity across the serial and process executors."""
 
-    @pytest.mark.parametrize("kind", ["serial", "process"])
+    @pytest.mark.parametrize("kind", ["serial", "process", "process-chunked"])
     def test_results_and_tree_integrity(self, kind):
         jobs = list(range(8))
         expected = [x * x for x in jobs]
+        executor = {
+            "serial": SerialExecutor(),
+            "process": executor_from_jobs(2),
+            "process-chunked": ParallelExecutor(2, chunksize=3),
+        }[kind]
         with telemetry_session() as session:
             with span("root"):
-                executor = SerialExecutor() if kind == "serial" else executor_from_jobs(2)
                 with executor:
                     results = executor.map(_traced_square, jobs)
         assert results == expected
