@@ -19,8 +19,9 @@ from ..cluster.topology import heterogeneous_cluster
 from ..ga.engine import GAConfig
 from ..ga.problem import BatchProblem
 from ..parallel.executor import ExperimentExecutor, resolve_executor
-from ..parallel.jobs import GARunJob, run_ga_job
+from ..parallel.jobs import GARunJob, run_comparison_repeat, run_ga_job
 from ..schedulers.registry import ALL_SCHEDULER_NAMES
+from ..telemetry import span
 from ..util.errors import ConfigurationError
 from ..util.rng import RNGLike, ensure_rng, spawn_rngs
 from ..util.tables import format_bar_chart, format_series_table
@@ -34,7 +35,12 @@ from ..workloads.suites import (
     uniform_wide_workload,
 )
 from .config import ExperimentScale, default_scale
-from .runner import ComparisonResult, compare_schedulers
+from .runner import (
+    ComparisonResult,
+    compare_schedulers,
+    comparison_jobs,
+    summarise_comparison,
+)
 
 __all__ = [
     "FigureResult",
@@ -225,7 +231,9 @@ def figure4(
     The paper times the scheduling of 10,000 tasks; the shape of interest is
     the *linear* growth with the number of re-balances, which is preserved at
     any batch size, so this reproduction times a single GA batch.  Each GA
-    run is timed inside its own job.  Note that unlike the stochastic
+    run is timed inside its own job, and the jobs go through ``imap``, which
+    runs them one at a time: a run stacked with others in a serial ``map``
+    would report a share of its group's time.  Note that unlike the stochastic
     figures, this figure's y-values are wall-clock *measurements*: with
     ``jobs > 1`` concurrent workers contend for cores, which inflates and
     adds noise to the per-run times, so time this figure serially when the
@@ -252,7 +260,7 @@ def figure4(
         for level in rebalance_levels
         for problem, ga_seed in zip(problems, ga_seeds)
     ]
-    outcomes = executor.map(run_ga_job, jobs)
+    outcomes = list(executor.imap(run_ga_job, jobs))
     times: List[float] = []
     for k in range(len(rebalance_levels)):
         per_level = outcomes[k * scale.repeats : (k + 1) * scale.repeats]
@@ -295,16 +303,18 @@ def _efficiency_sweep(
     # x axis is increasing like the paper's.
     costs = sorted(scale.comm_cost_means, reverse=True)
     x_values = [1.0 / c for c in costs]
+    # Every condition's repeats go into one map, seeded condition after
+    # condition from the one stream, as consecutive comparisons would be.
+    job_lists = [comparison_jobs(spec, scale, mean_comm_cost=cost, seed=rng) for cost in costs]
+    outcomes = executor.map(run_comparison_repeat, [job for jobs in job_lists for job in jobs])
     series: Dict[str, List[float]] = {name: [] for name in ALL_SCHEDULER_NAMES}
     comparisons: List[ComparisonResult] = []
-    for cost in costs:
-        comparison = compare_schedulers(
-            spec,
-            scale,
-            mean_comm_cost=cost,
-            seed=rng,
+    for k, (cost, jobs) in enumerate(zip(costs, job_lists)):
+        comparison = summarise_comparison(
+            jobs,
+            outcomes[k * scale.repeats : (k + 1) * scale.repeats],
             condition={"figure": figure_id, "mean_comm_cost": cost},
-            executor=executor,
+            executor=executor.describe(),
         )
         comparisons.append(comparison)
         for name in ALL_SCHEDULER_NAMES:
@@ -557,11 +567,13 @@ def run_figure(
     repeats / GA runs are sharded across worker processes.  All stochastic
     results are bit-identical regardless; only measured wall-clock values
     (Fig. 4's seconds) vary with the run and can be inflated by core
-    contention when sharded.
+    contention when sharded.  With telemetry on, the figure's work nests
+    under one ``figure:<id>`` span.
     """
     key = figure_id.strip().lower().replace("figure", "fig")
     if key not in FIGURES:
         raise ConfigurationError(
             f"unknown figure {figure_id!r}; expected one of {list(FIGURES)}"
         )
-    return FIGURES[key](scale=scale, seed=seed, executor=executor)
+    with span(f"figure:{key}"):
+        return FIGURES[key](scale=scale, seed=seed, executor=executor)

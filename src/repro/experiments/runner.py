@@ -13,6 +13,11 @@ parent, and are routed through an :class:`~repro.parallel.ExperimentExecutor`
 Because each repeat's randomness is fully determined by its own stream and
 results are aggregated in repeat order, serial and parallel runs with the
 same master seed produce bit-identical aggregates.
+
+:func:`comparison_jobs` and :func:`summarise_comparison` are the two halves
+of :func:`compare_schedulers`; a sweep builds every condition's jobs first
+and maps them all at once, so the serial executor can run their GA calls in
+lockstep.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..parallel.executor import ExperimentExecutor, resolve_executor
-from ..parallel.jobs import ComparisonRepeatJob, run_comparison_repeat
+from ..parallel.jobs import ComparisonRepeatJob, ComparisonRepeatOutcome, run_comparison_repeat
 from ..schedulers.registry import ALL_SCHEDULER_NAMES
 from ..sim.simulation import SimulationConfig
 from ..util.errors import ConfigurationError
@@ -33,7 +38,13 @@ from ..workloads.generator import WorkloadSpec
 from .config import ExperimentScale
 from .stats import SampleSummary, summarise
 
-__all__ = ["SchedulerComparison", "ComparisonResult", "compare_schedulers"]
+__all__ = [
+    "SchedulerComparison",
+    "ComparisonResult",
+    "compare_schedulers",
+    "comparison_jobs",
+    "summarise_comparison",
+]
 
 
 @dataclass(frozen=True)
@@ -145,12 +156,40 @@ def compare_schedulers(
         Explicit executor to route the repeats through; overrides
         ``scale.jobs`` when given.
     """
-    names = list(scheduler_names or ALL_SCHEDULER_NAMES)
+    jobs = comparison_jobs(
+        workload_spec,
+        scale,
+        mean_comm_cost=mean_comm_cost,
+        scheduler_names=scheduler_names,
+        cluster_factory=cluster_factory,
+        seed=seed,
+        sim_config=sim_config,
+    )
+    executor = resolve_executor(executor, scale.jobs)
+    outcomes = executor.map(run_comparison_repeat, jobs)
+    return summarise_comparison(jobs, outcomes, condition=condition, executor=executor.describe())
+
+
+def comparison_jobs(
+    workload_spec: WorkloadSpec,
+    scale: ExperimentScale,
+    *,
+    mean_comm_cost: float,
+    scheduler_names: Optional[Sequence[str]] = None,
+    cluster_factory: Optional[Callable[[np.random.Generator], Cluster]] = None,
+    seed: RNGLike = None,
+    sim_config: Optional[SimulationConfig] = None,
+) -> List[ComparisonRepeatJob]:
+    """The ``scale.repeats`` repeat jobs of one comparison (see :func:`compare_schedulers`).
+
+    Consumes one 64-bit draw per repeat from *seed*'s stream, so building
+    several conditions' jobs from one generator, condition after condition,
+    seeds them exactly as consecutive ``compare_schedulers`` calls would.
+    """
+    names = tuple(scheduler_names or ALL_SCHEDULER_NAMES)
     unknown = [n for n in names if n.upper() not in ALL_SCHEDULER_NAMES]
     if unknown:
         raise ConfigurationError(f"unknown schedulers requested: {unknown}")
-    executor = resolve_executor(executor, scale.jobs)
-
     # One 64-bit draw per repeat from the master stream, exactly as the serial
     # harness has always consumed it; each draw seeds the repeat's private
     # SeedSequence so workers need no shared random state.
@@ -158,11 +197,11 @@ def compare_schedulers(
     repeat_seeds = [
         int(master_rng.integers(0, 2**63 - 1)) for _ in range(scale.repeats)
     ]
-    jobs = [
+    return [
         ComparisonRepeatJob(
             seed_entropy=repeat_seed,
             workload_spec=workload_spec,
-            scheduler_names=tuple(names),
+            scheduler_names=names,
             n_processors=scale.n_processors,
             batch_size=scale.batch_size,
             max_generations=scale.max_generations,
@@ -172,8 +211,17 @@ def compare_schedulers(
         )
         for repeat_seed in repeat_seeds
     ]
-    outcomes = executor.map(run_comparison_repeat, jobs)
 
+
+def summarise_comparison(
+    jobs: Sequence[ComparisonRepeatJob],
+    outcomes: Sequence[ComparisonRepeatOutcome],
+    *,
+    condition: Optional[Dict[str, object]] = None,
+    executor: str = "serial",
+) -> ComparisonResult:
+    """Aggregate one comparison's repeat outcomes, in repeat order."""
+    names = jobs[0].scheduler_names
     per_scheduler: Dict[str, Dict[str, List[float]]] = {
         name: {"makespan": [], "efficiency": [], "response": [], "invocations": []}
         for name in names
@@ -197,8 +245,8 @@ def compare_schedulers(
         for name, data in per_scheduler.items()
     }
     return ComparisonResult(
-        condition=dict(condition or {"mean_comm_cost": mean_comm_cost}),
+        condition=dict(condition or {"mean_comm_cost": jobs[0].mean_comm_cost}),
         schedulers=comparisons,
-        repeats=scale.repeats,
-        executor=executor.describe(),
+        repeats=len(jobs),
+        executor=executor,
     )

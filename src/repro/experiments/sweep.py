@@ -182,7 +182,9 @@ def sweep_ga_parameter(
     generations) bit-identical between serial and parallel runs.  The
     ``wall_time`` summary is a measurement and therefore varies run to run;
     with ``jobs > 1`` it also absorbs core contention, so sweep serially
-    when absolute timings matter.
+    when absolute timings matter.  Serially, runs of equal config evolve
+    stacked (see :class:`~repro.parallel.SerialExecutor`), and each reports
+    its equal share of its group's wall time.
     """
     scale = scale or default_scale()
     repeats = repeats or scale.repeats

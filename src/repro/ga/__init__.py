@@ -29,6 +29,7 @@ from .kernels import (
     cycle_crossover_batch,
     decode_population,
     draw_swap_positions,
+    rebalance_group,
     rebalance_population,
     swap_positions_batch,
 )
@@ -53,7 +54,7 @@ from .population import (
     seeded_individual,
     seeded_population,
 )
-from .problem import BatchProblem
+from .problem import BatchProblem, ProblemGroup
 from .selection import (
     RankSelection,
     RouletteWheelSelection,
@@ -66,6 +67,7 @@ from .selection import (
 
 __all__ = [
     "BatchProblem",
+    "ProblemGroup",
     # encoding
     "chromosome_length",
     "delimiter_symbols",
@@ -114,6 +116,7 @@ __all__ = [
     "decode_population",
     "draw_swap_positions",
     "swap_positions_batch",
+    "rebalance_group",
     "rebalance_population",
     # population
     "list_scheduled_assignment",

@@ -22,6 +22,19 @@ draw-order contract, so for a fixed seed they evolve bit-identical
 populations wherever the operators are deterministic given their draws
 (cycle crossover, swap mutation); the re-balancing heuristic's draws are
 value-dependent and match in distribution instead.
+
+Stacked runs
+------------
+There is one generation loop, and it evolves a *group* of problems that
+share a :class:`GAConfig` and a shape (H tasks, M processors) as one stacked
+``(K·P, L)`` population; a solo run is a group of one.  ``evolve`` hands its
+problem to :func:`repro.util.lockstep.batched`: on a job thread of a
+lockstep map (:class:`repro.parallel.SerialExecutor`) the call waits until
+every job of the map waits, and the waiting runs of equal config and shape
+then evolve together.  Each problem keeps its own generator and makes
+exactly its solo draws, so every result is bit-identical to the solo run.
+Runs with a ``stop_callback``, a time limit or a target makespan, and
+``backend="loop"`` runs, always run alone.
 """
 
 from __future__ import annotations
@@ -29,12 +42,13 @@ from __future__ import annotations
 import enum
 import time as _time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from ..telemetry import PhaseTimer
 from ..util.errors import ConfigurationError
+from ..util.lockstep import batched
 from ..util.rng import RNGLike, ensure_rng
 from ..util.validation import (
     require_at_least,
@@ -45,9 +59,9 @@ from ..util.validation import (
 from .crossover import CrossoverOperator, crossover_from_name
 from .encoding import decode_assignment, decode_queues
 from .fitness import evaluate_assignments
-from .kernels import BACKEND_NAMES, KernelBackend, backend_from_name
+from .kernels import BACKEND_NAMES, KernelBackend, VectorizedBackend, backend_from_name
 from .population import random_population, seeded_population
-from .problem import BatchProblem
+from .problem import BatchProblem, ProblemGroup
 from .selection import SelectionOperator, selection_from_name
 
 __all__ = ["GAConfig", "GAResult", "GAStopReason", "GeneticAlgorithm"]
@@ -139,6 +153,11 @@ class GAResult:
     ``best_queues`` translates the internal task indices back into the task
     ids of the batch, ready to be appended to the master's per-processor
     queues.
+
+    ``stacked`` is the number of problems that evolved together in one
+    stacked population (1 for a run alone).  A stacked run's
+    ``wall_time_seconds`` and ``timings`` seconds are its ``1/stacked``
+    share of the group's; the phase counts are its own.
     """
 
     best_assignment: np.ndarray
@@ -154,6 +173,7 @@ class GAResult:
     mean_fitness_history: List[float]
     wall_time_seconds: float
     timings: PhaseTimer = field(default_factory=PhaseTimer, repr=False)
+    stacked: int = 1
 
     @property
     def reduction_fraction(self) -> float:
@@ -189,17 +209,6 @@ class GeneticAlgorithm:
         """The kernel backend driving this engine's population transforms."""
         return self._backend
 
-    # -- population helpers ---------------------------------------------------------
-    def _initial_population(self, problem: BatchProblem) -> np.ndarray:
-        if self.config.seeded_initialisation:
-            return seeded_population(
-                problem,
-                self.config.population_size,
-                random_fraction=self.config.random_init_fraction,
-                rng=self._rng,
-            )
-        return random_population(problem, self.config.population_size, rng=self._rng)
-
     # -- main loop --------------------------------------------------------------------
     def evolve(
         self,
@@ -216,143 +225,238 @@ class GeneticAlgorithm:
             Optional predicate ``f(generation, elapsed_seconds) -> bool``; when
             it returns True the GA stops and returns the best schedule found so
             far.  The simulator uses this to emulate the paper's "stop when a
-            processor becomes idle" condition.
+            processor becomes idle" condition.  A run with a callback always
+            evolves alone.
         """
-        cfg = self.config
-        timings = PhaseTimer()
-        start = _time.perf_counter()
-
-        with timings.measure("initialisation"):
-            population = self._initial_population(problem)
-
-        best_chromosome: Optional[np.ndarray] = None
-        best_makespan = np.inf
-        best_error = np.inf
-        best_fitness = 0.0
-        initial_best: Optional[float] = None
-        makespan_history: List[float] = []
-        mean_fitness_history: List[float] = []
-        stop_reason = GAStopReason.MAX_GENERATIONS
-        generation = 0
-
-        while generation < cfg.max_generations:
-            generation += 1
-
-            with timings.measure("decode"):
-                assignments = self._backend.decode(population, problem)
-            with timings.measure("fitness"):
-                result = evaluate_assignments(assignments, problem)
-
-            # The reference point for "reduction in makespan" (Fig. 3) is the best
-            # individual of the initial population before any re-balancing.
-            if initial_best is None:
-                initial_best = float(result.makespans[result.best_index])
-
-            # Track the best individual seen before re-balancing too, so the
-            # returned schedule is never worse than any individual evaluated.
-            pre_best = result.best_index
-            if result.makespans[pre_best] < best_makespan:
-                best_makespan = float(result.makespans[pre_best])
-                best_error = float(result.errors[pre_best])
-                best_fitness = float(result.fitness[pre_best])
-                best_chromosome = population[pre_best].copy()
-
-            # Re-balancing heuristic (Sect. 3.5): applied to every individual.
-            if cfg.n_rebalances > 0:
-                with timings.measure("rebalance"):
-                    self._backend.rebalance(
-                        population,
-                        assignments,
-                        result.completions.copy(),
-                        problem,
-                        cfg.n_rebalances,
-                        self._rng,
-                        cfg.rebalance_probes,
-                    )
-                with timings.measure("fitness"):
-                    result = evaluate_assignments(assignments, problem)
-
-            # Track the best individual by makespan (Sect. 3.4).
-            gen_best = result.best_index
-            if result.makespans[gen_best] < best_makespan:
-                best_makespan = float(result.makespans[gen_best])
-                best_error = float(result.errors[gen_best])
-                best_fitness = float(result.fitness[gen_best])
-                best_chromosome = population[gen_best].copy()
-            makespan_history.append(best_makespan)
-            # sum / n is the arithmetic of ndarray.mean, without its overhead.
-            mean_fitness_history.append(float(result.fitness.sum()) / cfg.population_size)
-
-            elapsed = _time.perf_counter() - start
-
-            # -- stopping conditions (Sect. 3.4) --------------------------------------
-            if cfg.target_makespan is not None and best_makespan <= cfg.target_makespan:
-                stop_reason = GAStopReason.TARGET_MAKESPAN
-                break
-            if stop_callback is not None and stop_callback(generation, elapsed):
-                stop_reason = GAStopReason.EXTERNAL_STOP
-                break
-            if cfg.time_limit_seconds is not None and elapsed >= cfg.time_limit_seconds:
-                stop_reason = GAStopReason.TIME_LIMIT
-                break
-            if generation >= cfg.max_generations:
-                stop_reason = GAStopReason.MAX_GENERATIONS
-                break
-
-            # -- next generation --------------------------------------------------------
-            with timings.measure("selection"):
-                parent_indices = self._selection.select(
-                    result.fitness, cfg.population_size, rng=self._rng
-                )
-                parents = population[parent_indices]
-
-            with timings.measure("crossover"):
-                children = self._backend.crossover(
-                    parents, self._crossover, cfg.crossover_rate, self._rng
-                )
-
-            with timings.measure("mutation"):
-                children = self._backend.mutate(
-                    children, cfg.mutation_rate, cfg.swaps_per_mutation, self._rng
-                )
-
-            # Elitism: re-insert the best chromosome(s) found so far.
-            if cfg.elitism > 0 and best_chromosome is not None:
-                for slot in range(cfg.elitism):
-                    children[slot] = best_chromosome
-
-            population = children
-
-        assert best_chromosome is not None and initial_best is not None
-        # One span subtree per GA run when telemetry is on (no-op otherwise):
+        run = _Run(self, problem, stop_callback)
+        if run.stackable():
+            result = batched(_evolve_batch, run)
+        else:
+            result = _evolve_group([run])[0]
+        # One span subtree per GA run when telemetry is on (no-op otherwise),
+        # flushed from the caller's thread so it nests under the caller's span:
         # the per-phase attribution the figure-4 analysis reads from
         # ``GAResult.timings`` becomes visible to `repro telemetry` too.
-        timings.flush(
+        result.timings.flush(
             "ga:evolve",
-            generations=generation,
+            generations=result.generations,
             n_tasks=problem.n_tasks,
-            stop_reason=stop_reason.value,
+            stop_reason=result.stop_reason.value,
+            stacked=result.stacked,
         )
-        best_assignment = decode_assignment(
-            best_chromosome, problem.n_tasks, problem.n_processors
+        return result
+
+
+class _Run(NamedTuple):
+    """One ``evolve`` call: the engine (config, generator, operators) and its problem."""
+
+    engine: GeneticAlgorithm
+    problem: BatchProblem
+    stop_callback: Optional[Callable[[int, float], bool]]
+
+    def stackable(self) -> bool:
+        """Whether the run may evolve in a group: nothing can stop it early."""
+        cfg = self.engine.config
+        return (
+            self.stop_callback is None
+            and cfg.target_makespan is None
+            and cfg.time_limit_seconds is None
+            and isinstance(self.engine.backend, VectorizedBackend)
         )
-        queues_by_index = decode_queues(best_chromosome, problem.n_processors)
-        best_queues = [
-            [int(problem.task_ids[task_index]) for task_index in queue]
-            for queue in queues_by_index
-        ]
-        return GAResult(
-            best_assignment=best_assignment,
-            best_queues=best_queues,
-            best_makespan=best_makespan,
-            best_error=best_error,
-            best_fitness=best_fitness,
-            initial_best_makespan=initial_best,
-            psi=problem.optimal_time(),
-            generations=generation,
-            stop_reason=stop_reason,
-            makespan_history=makespan_history,
-            mean_fitness_history=mean_fitness_history,
-            wall_time_seconds=_time.perf_counter() - start,
-            timings=timings,
+
+    def stacks_with(self, other: "_Run") -> bool:
+        """Whether the two runs may share one stacked population."""
+        return (
+            self.problem.n_tasks == other.problem.n_tasks
+            and self.problem.n_processors == other.problem.n_processors
+            and self.engine.config == other.engine.config
         )
+
+    def initial_population(self) -> np.ndarray:
+        cfg = self.engine.config
+        if cfg.seeded_initialisation:
+            return seeded_population(
+                self.problem,
+                cfg.population_size,
+                random_fraction=cfg.random_init_fraction,
+                rng=self.engine._rng,
+            )
+        return random_population(self.problem, cfg.population_size, rng=self.engine._rng)
+
+
+def _evolve_batch(runs: Sequence[_Run]) -> List[GAResult]:
+    """Evolve *runs*, each group of equal config and shape as one stacked population."""
+    groups: List[List[int]] = []
+    for index, run in enumerate(runs):
+        for members in groups:
+            if runs[members[0]].stacks_with(run):
+                members.append(index)
+                break
+        else:
+            groups.append([index])
+    results: List[Optional[GAResult]] = [None] * len(runs)
+    for members in groups:
+        for index, result in zip(members, _evolve_group([runs[i] for i in members])):
+            results[index] = result
+    return results
+
+
+def _evolve_group(runs: Sequence[_Run]) -> List[GAResult]:
+    """The generation loop: evolve *runs* as one stacked population.
+
+    Rows ``k·P … k·P + P − 1`` of the population are run ``k``'s; every
+    per-problem quantity (best individual, histories) is a length-``K``
+    array, and ``rngs[k]`` makes run ``k``'s solo draws in solo order.
+    """
+    lead = runs[0].engine
+    cfg = lead.config
+    backend, selection, crossover = lead.backend, lead._selection, lead._crossover
+    n_runs, pop = len(runs), cfg.population_size
+    group = ProblemGroup([run.problem for run in runs], pop)
+    rngs = [run.engine._rng for run in runs]
+    row_starts = np.arange(0, n_runs * pop, pop)
+    parent_offsets = row_starts[:, None]
+    elite_rows = [row_starts + slot for slot in range(cfg.elitism)]
+    # Only a run alone can stop early (see ``_Run.stackable``).
+    stop_callback = runs[0].stop_callback
+    timings = PhaseTimer()
+    start = _time.perf_counter()
+
+    with timings.measure("initialisation"):
+        population = np.concatenate([run.initial_population() for run in runs])
+
+    best_chromosomes = np.empty_like(population[:n_runs])
+    best_makespan = np.full(n_runs, np.inf)
+    best_error = np.full(n_runs, np.inf)
+    best_fitness = np.zeros(n_runs)
+    initial_best: Optional[np.ndarray] = None
+    # Per generation and run: the best makespan so far and the fitness sum.
+    makespan_history = np.empty((cfg.max_generations, n_runs))
+    fitness_sums = np.empty((cfg.max_generations, n_runs))
+    stop_reason = GAStopReason.MAX_GENERATIONS
+    generation = 0
+
+    def keep_best(result) -> None:
+        rows = row_starts + result.makespans.reshape(n_runs, pop).argmin(axis=1)
+        makespans = result.makespans[rows]
+        # Strictly better only, so ties keep the earlier individual.
+        better = (makespans < best_makespan).nonzero()[0]
+        if better.size:
+            rows = rows[better]
+            best_makespan[better] = makespans[better]
+            best_error[better] = result.errors[rows]
+            best_fitness[better] = result.fitness[rows]
+            best_chromosomes[better] = population[rows]
+
+    while generation < cfg.max_generations:
+        generation += 1
+
+        with timings.measure("decode"):
+            assignments = backend.decode(population, group)
+        with timings.measure("fitness"):
+            result = evaluate_assignments(assignments, group)
+
+        # The reference point for "reduction in makespan" (Fig. 3) is the best
+        # individual of the initial population before any re-balancing.
+        if initial_best is None:
+            initial_best = result.makespans.reshape(n_runs, pop).min(axis=1)
+
+        # Track the best individual seen before re-balancing too, so the
+        # returned schedule is never worse than any individual evaluated.
+        keep_best(result)
+
+        # Re-balancing heuristic (Sect. 3.5): applied to every individual.
+        if cfg.n_rebalances > 0:
+            with timings.measure("rebalance"):
+                backend.rebalance(
+                    population,
+                    assignments,
+                    result.completions.copy(),
+                    group,
+                    cfg.n_rebalances,
+                    rngs,
+                    cfg.rebalance_probes,
+                )
+            with timings.measure("fitness"):
+                result = evaluate_assignments(assignments, group)
+            # Track the best individual by makespan (Sect. 3.4).
+            keep_best(result)
+
+        makespan_history[generation - 1] = best_makespan
+        fitness_rows = result.fitness.reshape(n_runs, pop)
+        np.add.reduce(fitness_rows, axis=1, out=fitness_sums[generation - 1])
+
+        elapsed = _time.perf_counter() - start
+
+        # -- stopping conditions (Sect. 3.4) --------------------------------------
+        if cfg.target_makespan is not None and best_makespan.max() <= cfg.target_makespan:
+            stop_reason = GAStopReason.TARGET_MAKESPAN
+            break
+        if stop_callback is not None and stop_callback(generation, elapsed):
+            stop_reason = GAStopReason.EXTERNAL_STOP
+            break
+        if cfg.time_limit_seconds is not None and elapsed >= cfg.time_limit_seconds:
+            stop_reason = GAStopReason.TIME_LIMIT
+            break
+        if generation >= cfg.max_generations:
+            stop_reason = GAStopReason.MAX_GENERATIONS
+            break
+
+        # -- next generation --------------------------------------------------------
+        with timings.measure("selection"):
+            parent_indices = selection.select_rows(fitness_rows, rngs)
+            parents = population[(parent_indices + parent_offsets).ravel()]
+
+        with timings.measure("crossover"):
+            children = backend.crossover(parents, crossover, cfg.crossover_rate, rngs)
+
+        with timings.measure("mutation"):
+            children = backend.mutate(children, cfg.mutation_rate, cfg.swaps_per_mutation, rngs)
+
+        # Elitism: re-insert the best chromosome(s) found so far.
+        for rows in elite_rows:
+            children[rows] = best_chromosomes
+        population = children
+
+    assert initial_best is not None
+    wall_share = (_time.perf_counter() - start) / n_runs
+    makespans_by_run = makespan_history[:generation].T.tolist()
+    # sum / n is the arithmetic of ndarray.mean, without its overhead.
+    mean_fitness_by_run = (fitness_sums[:generation] / pop).T.tolist()
+    results = []
+    for k, run in enumerate(runs):
+        problem = run.problem
+        chromosome = best_chromosomes[k]
+        queues_by_index = decode_queues(chromosome, problem.n_processors)
+        results.append(
+            GAResult(
+                best_assignment=decode_assignment(
+                    chromosome, problem.n_tasks, problem.n_processors
+                ),
+                best_queues=[
+                    [int(problem.task_ids[task_index]) for task_index in queue]
+                    for queue in queues_by_index
+                ],
+                best_makespan=float(best_makespan[k]),
+                best_error=float(best_error[k]),
+                best_fitness=float(best_fitness[k]),
+                initial_best_makespan=float(initial_best[k]),
+                psi=problem.optimal_time(),
+                generations=generation,
+                stop_reason=stop_reason,
+                makespan_history=makespans_by_run[k],
+                mean_fitness_history=mean_fitness_by_run[k],
+                wall_time_seconds=wall_share,
+                timings=_share(timings, n_runs),
+                stacked=n_runs,
+            )
+        )
+    return results
+
+
+def _share(timings: PhaseTimer, n_runs: int) -> PhaseTimer:
+    """One run's share of a group's phase timer: ``1/n_runs`` of each phase's seconds."""
+    share = PhaseTimer()
+    share.totals = {phase: seconds / n_runs for phase, seconds in timings.totals.items()}
+    share.counts = dict(timings.counts)
+    return share

@@ -64,7 +64,8 @@ class FitnessResult:
     makespans:
         ``max_j C_{j,i}`` per individual, shape ``(P,)``.
     psi:
-        The theoretical optimum used as the error reference.
+        The theoretical optimum used as the error reference (a ``(P, 1)``
+        per-row column for a :class:`~repro.ga.problem.ProblemGroup`).
     """
 
     completions: np.ndarray
@@ -99,7 +100,8 @@ def completion_times(assignments: np.ndarray, problem: BatchProblem) -> np.ndarr
         that individual ``p`` assigns task ``i`` to.
     problem:
         The batch problem supplying sizes, rates, pending loads and per-link
-        communication estimates.
+        communication estimates, or a :class:`~repro.ga.problem.ProblemGroup`
+        that gives each row of a stacked population its own problem's.
 
     Returns
     -------
@@ -128,7 +130,7 @@ def completion_times(assignments: np.ndarray, problem: BatchProblem) -> np.ndarr
 
 
 def evaluate_assignments(assignments: np.ndarray, problem: BatchProblem) -> FitnessResult:
-    """Evaluate a population of assignment vectors against *problem*."""
+    """Evaluate a population of assignment vectors against *problem* (or a group)."""
     completions = completion_times(assignments, problem)
     psi = problem.optimal_time()
     deviations = completions - psi

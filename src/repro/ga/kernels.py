@@ -19,14 +19,20 @@ Two interchangeable backends implement the per-generation work:
 
 A population of 20 chromosomes of ~20 genes is tiny, so these kernels cost
 what their NumPy calls cost, not what their arithmetic costs: they are
-written to make few calls per generation.
+written to make few calls per generation, and they take a *stacked*
+population so that several problems share those calls.  The engine evolves
+a :class:`~repro.ga.problem.ProblemGroup` of ``K`` problems of one shape as
+one ``(K·P, L)`` matrix: rows ``k·P … k·P + P − 1`` belong to problem ``k``,
+which draws from its own generator ``rngs[k]``.  A solo run is a group of one.
 
 RNG draw-order contract
 -----------------------
 Both backends consume the engine's random stream in the same documented
 order, so that wherever an operator is *deterministic given its draws* the
-two backends produce bit-identical populations for a fixed seed.  Per
-generation, after fitness evaluation, the draws are:
+two backends produce bit-identical populations for a fixed seed.  In a
+stacked group every problem makes exactly these draws from its own
+generator, as if it ran alone, so a stacked run is bit-identical to its solo
+run.  Per generation, after fitness evaluation, the draws are:
 
 1. **selection** — one batched call of the selection operator
    (roulette consumes exactly ``population_size`` uniforms via
@@ -60,15 +66,16 @@ slot-by-slot reference of its own draw layout.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from ..util.errors import ConfigurationError, EncodingError
+from ..util.rng import random_rows
 from .crossover import CrossoverOperator, CycleCrossover
 from .encoding import chromosome_from_queues, decode_assignment
 from .mutation import apply_position_swaps, rebalance_many
-from .problem import BatchProblem
+from .problem import BatchProblem, ProblemGroup
 
 __all__ = [
     "BACKEND_NAMES",
@@ -81,6 +88,7 @@ __all__ = [
     "decode_population",
     "draw_swap_positions",
     "swap_positions_batch",
+    "rebalance_group",
     "rebalance_population",
 ]
 
@@ -272,23 +280,46 @@ def rebalance_population(
     rng: np.random.Generator,
     max_probes: int = 5,
 ) -> None:
+    """:func:`rebalance_group` for one problem's population (a group of one)."""
+    rebalance_group(
+        population,
+        assignments,
+        completions,
+        ProblemGroup((problem,), population.shape[0]),
+        n_rebalances,
+        (rng,),
+        max_probes,
+    )
+
+
+def rebalance_group(
+    population: np.ndarray,
+    assignments: np.ndarray,
+    completions: np.ndarray,
+    group: ProblemGroup,
+    n_rebalances: int,
+    rngs: Sequence[np.random.Generator],
+    max_probes: int = 5,
+) -> None:
     """Apply the paper's re-balancing heuristic to every individual at once.
 
     Mirrors :func:`repro.ga.mutation.rebalance_assignment` across the whole
-    population: per round, each individual picks one random task off its most
-    heavily loaded processor's peers ("candidate"), probes up to *max_probes*
-    random distinct tasks on the heavy processor in random order, and accepts
-    the first strictly-smaller probe whose swap lowers the schedule's relative
-    error.  Accepted swaps are mirrored into the chromosome matrix
-    (*population*), the assignment matrix and the completion-time matrix, all
-    updated in place.
+    stacked population: per round, each individual picks one random task
+    off its most heavily loaded processor's peers ("candidate"), probes up
+    to *max_probes* random distinct tasks on the heavy processor in random
+    order, and accepts the first strictly-smaller probe whose swap lowers
+    the schedule's relative error.  Accepted swaps are mirrored into the
+    chromosome matrix (*population*), the assignment matrix and the
+    completion-time matrix, all updated in place.  Each row reads its own
+    problem's sizes, rates and ψ from *group*.
 
-    Draw layout per round (fixed shape, value-independent): one uniform per
-    individual for the candidate pick, then one ``(pop, n_tasks)`` uniform
-    block whose per-row ranking of the heavy processor's tasks is the probe
-    order.  This matches the loop implementation in distribution (uniform
-    candidate, uniform without-replacement probe order) but not draw for
-    draw, since the loop's draw count depends on each schedule.
+    Draw layout per round (fixed shape, value-independent): each problem
+    draws, from its own generator, one uniform per individual for the
+    candidate pick, then one ``(P, n_tasks)`` uniform block whose per-row
+    ranking of the heavy processor's tasks is the probe order.  This
+    matches the loop implementation in distribution (uniform candidate,
+    uniform without-replacement probe order) but not draw for draw, since
+    the loop's draw count depends on each schedule.
 
     Within a round a row's state changes only when it accepts a swap, and
     acceptance ends its probing, so every probe slot is scored at once
@@ -299,9 +330,10 @@ def rebalance_population(
     """
     pop, n_tasks = assignments.shape
     n_procs = completions.shape[1]
-    sizes = problem.sizes
-    rates = problem.rates
-    psi = problem.optimal_time()
+    per_problem = pop // len(rngs)
+    sizes, size_offsets = group.sizes, group.size_offsets
+    rates, rate_offsets = group.rates, group.rate_offsets
+    psi = group.psi
     slots = min(max_probes, n_tasks)
     row_ids = np.arange(pop)
     row_starts = row_ids * n_tasks
@@ -310,8 +342,9 @@ def rebalance_population(
     # in [0, 1), in task order.
     other_keys = np.arange(2.0, n_tasks + 2.0)
     # Flat index of each (row, slot) trial row's first element in the
-    # (pop·slots, M) trial matrix.
+    # (pop·slots, M) trial matrix, and the ψ of each trial row.
     trial_starts = np.arange(0, pop * slots * n_procs, n_procs).reshape(pop, slots)
+    trial_psi = np.repeat(psi, slots, axis=0) if np.ndim(psi) else psi
 
     errors = np.sqrt(((completions - psi) ** 2).sum(axis=1))
     for _ in range(n_rebalances):
@@ -323,8 +356,8 @@ def rebalance_population(
         # its probe slots past this limit are not viable.
         probe_limit = np.where(other_counts > 0, heavy_counts, 0)
 
-        candidate_uniform = rng.random(pop)
-        probe_keys = rng.random((pop, n_tasks))
+        candidate_uniform = random_rows(rngs, (per_problem,))
+        probe_keys = random_rows(rngs, (per_problem, n_tasks))
         if not probe_limit.any():
             continue
 
@@ -332,22 +365,24 @@ def rebalance_population(
         # (the probe order) followed by its other tasks in index order.
         order = np.where(heavy_mask, probe_keys, other_keys).argsort(axis=1)
         probes = order[:, :slots]
-        probe_size = sizes[probes]
+        probe_size = sizes[probes + size_offsets[:, None]]
         # Candidate: the k-th task (uniform k) not on the heavy processor.
         # (Rows without such a task get an arbitrary one; no slot is viable.)
         k = np.minimum((candidate_uniform * other_counts).astype(int), other_counts - 1)
         candidate = order.ravel()[row_starts + heavy_counts + k]
         candidate_proc = assignments[row_ids, candidate]
-        candidate_size = sizes[candidate]
+        candidate_size = sizes[candidate + size_offsets]
         viable = (candidate_size[:, None] < probe_size) & (slot_ids < probe_limit[:, None])
 
         # Completion times after each slot's swap, one trial row per slot.
         delta = candidate_size[:, None] - probe_size
         trials = completions.repeat(slots, axis=0)
         flat_trials = trials.reshape(-1)
-        flat_trials[trial_starts + heavy[:, None]] += delta / rates[heavy][:, None]
-        flat_trials[trial_starts + candidate_proc[:, None]] -= delta / rates[candidate_proc][:, None]
-        new_errors = np.sqrt(((trials - psi) ** 2).sum(axis=1)).reshape(pop, slots)
+        flat_trials[trial_starts + heavy[:, None]] += delta / rates[heavy + rate_offsets][:, None]
+        flat_trials[trial_starts + candidate_proc[:, None]] -= (
+            delta / rates[candidate_proc + rate_offsets][:, None]
+        )
+        new_errors = np.sqrt(((trials - trial_psi) ** 2).sum(axis=1)).reshape(pop, slots)
 
         improving = viable & (new_errors < errors[:, None])
         first = improving.argmax(axis=1)
@@ -379,18 +414,19 @@ class KernelBackend(ABC):
 
     The engine owns the evaluation loop, elitism and the stopping logic; a
     backend supplies decoding, re-balancing, crossover and mutation over the
-    population matrix.  The random *draws* of crossover and mutation — the
-    gate blocks and swap-position blocks of the module-level draw-order
-    contract — are made here in the base class, so every backend reads the
-    identical stream by construction; subclasses only implement how the
-    drawn operations are *applied* to the population matrix.
+    stacked population matrix of a :class:`~repro.ga.problem.ProblemGroup`
+    (``rngs[k]`` is problem ``k``'s generator).  The random *draws* of
+    crossover and mutation — the gate blocks and swap-position blocks of the
+    module-level draw-order contract — are made here in the base class, so
+    every backend reads the identical streams by construction; subclasses
+    only implement how the drawn operations are *applied* to the matrix.
     """
 
     name: str = "backend"
 
     @abstractmethod
-    def decode(self, population: np.ndarray, problem: BatchProblem) -> np.ndarray:
-        """Decode the ``(P, L)`` chromosome matrix into ``(P, H)`` assignments."""
+    def decode(self, population: np.ndarray, group: ProblemGroup) -> np.ndarray:
+        """Decode the ``(K·P, L)`` chromosome matrix into ``(K·P, H)`` assignments."""
 
     @abstractmethod
     def rebalance(
@@ -398,9 +434,9 @@ class KernelBackend(ABC):
         population: np.ndarray,
         assignments: np.ndarray,
         completions: np.ndarray,
-        problem: BatchProblem,
+        group: ProblemGroup,
         n_rebalances: int,
-        rng: np.random.Generator,
+        rngs: Sequence[np.random.Generator],
         max_probes: int,
     ) -> None:
         """Re-balance every individual, updating all three matrices in place."""
@@ -410,16 +446,22 @@ class KernelBackend(ABC):
         parents: np.ndarray,
         operator: CrossoverOperator,
         rate: float,
-        rng: np.random.Generator,
+        rngs: Sequence[np.random.Generator],
     ) -> np.ndarray:
-        """Cross consecutive parent pairs in place, gated per pair by *rate*."""
-        n_pairs = parents.shape[0] // 2
+        """Cross consecutive parent pairs of each problem in place, gated per pair by *rate*."""
+        per_problem = parents.shape[0] // len(rngs)
+        n_pairs = per_problem // 2
         if n_pairs == 0:
             return parents
-        gates = rng.random(n_pairs)  # contract stage 2: one block
-        crossing = (gates < rate).nonzero()[0]
+        # Contract stage 2: one block per problem.  Pair g (over all
+        # problems) starts at row 2g, shifted by one row per earlier problem
+        # when an odd population leaves each problem's last row unpaired.
+        crossing = (random_rows(rngs, (n_pairs,)) < rate).nonzero()[0]
         if crossing.size:
-            self._apply_crossover(parents, crossing, operator, rng)
+            first_rows = 2 * crossing
+            if per_problem % 2:
+                first_rows += crossing // n_pairs
+            self._apply_crossover(parents, first_rows, operator, rngs, per_problem)
         return parents
 
     def mutate(
@@ -427,15 +469,30 @@ class KernelBackend(ABC):
         population: np.ndarray,
         rate: float,
         n_swaps: int,
-        rng: np.random.Generator,
+        rngs: Sequence[np.random.Generator],
     ) -> np.ndarray:
         """Swap-mutate individuals in place, gated per individual by *rate*."""
-        pop, length = population.shape
-        gates = rng.random(pop)  # contract stage 4: one block
-        rows = (gates < rate).nonzero()[0]
+        rows_total, length = population.shape
+        per_problem = rows_total // len(rngs)
+        # Contract stage 4: one block per problem.
+        rows = (random_rows(rngs, (per_problem,)) < rate).nonzero()[0]
         if rows.size == 0 or length < 2 or n_swaps == 0:
             return population
-        i_pos, j_pos = draw_swap_positions(rng, rows.size, n_swaps, length)
+        # Contract stage 5, per problem in problem order (rows ascend).
+        if len(rngs) == 1:
+            counts = [rows.size]
+        else:
+            counts = np.bincount(rows // per_problem, minlength=len(rngs)).tolist()
+        draws = [
+            draw_swap_positions(rng, count, n_swaps, length)
+            for rng, count in zip(rngs, counts)
+            if count
+        ]
+        if len(draws) == 1:
+            i_pos, j_pos = draws[0]
+        else:
+            i_pos = np.concatenate([i for i, _ in draws])
+            j_pos = np.concatenate([j for _, j in draws])
         self._apply_swaps(population, rows, i_pos, j_pos)
         return population
 
@@ -443,11 +500,12 @@ class KernelBackend(ABC):
     def _apply_crossover(
         self,
         parents: np.ndarray,
-        crossing: np.ndarray,
+        first_rows: np.ndarray,
         operator: CrossoverOperator,
-        rng: np.random.Generator,
+        rngs: Sequence[np.random.Generator],
+        per_problem: int,
     ) -> None:
-        """Cross the gated pairs (``crossing`` holds pair indices) in place."""
+        """Cross the gated pairs (rows ``first_rows`` and ``first_rows + 1``) in place."""
 
     @abstractmethod
     def _apply_swaps(
@@ -462,16 +520,19 @@ class KernelBackend(ABC):
     @staticmethod
     def _cross_pairs_sequentially(
         parents: np.ndarray,
-        crossing: np.ndarray,
+        first_rows: np.ndarray,
         operator: CrossoverOperator,
-        rng: np.random.Generator,
+        rngs: Sequence[np.random.Generator],
+        per_problem: int,
     ) -> None:
-        """Contract stage 3: apply the operator pair by pair in ascending order."""
-        for pair in crossing:
-            first, second = 2 * int(pair), 2 * int(pair) + 1
-            child_a, child_b = operator.cross(parents[first], parents[second], rng=rng)
+        """Contract stage 3: apply the operator pair by pair in ascending order,
+        each pair drawing from its problem's generator."""
+        for first in first_rows.tolist():
+            child_a, child_b = operator.cross(
+                parents[first], parents[first + 1], rng=rngs[first // per_problem]
+            )
             parents[first] = child_a
-            parents[second] = child_b
+            parents[first + 1] = child_b
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -482,10 +543,10 @@ class LoopBackend(KernelBackend):
 
     name = "loop"
 
-    def decode(self, population: np.ndarray, problem: BatchProblem) -> np.ndarray:
+    def decode(self, population: np.ndarray, group: ProblemGroup) -> np.ndarray:
         return np.vstack(
             [
-                decode_assignment(chromosome, problem.n_tasks, problem.n_processors)
+                decode_assignment(chromosome, group.n_tasks, group.n_processors)
                 for chromosome in population
             ]
         )
@@ -495,18 +556,19 @@ class LoopBackend(KernelBackend):
         population: np.ndarray,
         assignments: np.ndarray,
         completions: np.ndarray,
-        problem: BatchProblem,
+        group: ProblemGroup,
         n_rebalances: int,
-        rng: np.random.Generator,
+        rngs: Sequence[np.random.Generator],
         max_probes: int,
     ) -> None:
         for idx in range(population.shape[0]):
+            problem = group.problems[idx // group.rows]
             outcome = rebalance_many(
                 assignments[idx],
                 completions[idx],
                 problem,
                 n_rebalances,
-                rng=rng,
+                rng=rngs[idx // group.rows],
                 max_probes=max_probes,
             )
             if not outcome.improved:
@@ -533,11 +595,12 @@ class LoopBackend(KernelBackend):
     def _apply_crossover(
         self,
         parents: np.ndarray,
-        crossing: np.ndarray,
+        first_rows: np.ndarray,
         operator: CrossoverOperator,
-        rng: np.random.Generator,
+        rngs: Sequence[np.random.Generator],
+        per_problem: int,
     ) -> None:
-        self._cross_pairs_sequentially(parents, crossing, operator, rng)
+        self._cross_pairs_sequentially(parents, first_rows, operator, rngs, per_problem)
 
     def _apply_swaps(
         self,
@@ -555,35 +618,28 @@ class VectorizedBackend(KernelBackend):
 
     name = "vectorized"
 
-    def decode(self, population: np.ndarray, problem: BatchProblem) -> np.ndarray:
-        return decode_population(population, problem.n_tasks, problem.n_processors)
+    def decode(self, population: np.ndarray, group: ProblemGroup) -> np.ndarray:
+        return decode_population(population, group.n_tasks, group.n_processors)
 
     def rebalance(
         self,
         population: np.ndarray,
         assignments: np.ndarray,
         completions: np.ndarray,
-        problem: BatchProblem,
+        group: ProblemGroup,
         n_rebalances: int,
-        rng: np.random.Generator,
+        rngs: Sequence[np.random.Generator],
         max_probes: int,
     ) -> None:
-        rebalance_population(
-            population,
-            assignments,
-            completions,
-            problem,
-            n_rebalances,
-            rng,
-            max_probes=max_probes,
-        )
+        rebalance_group(population, assignments, completions, group, n_rebalances, rngs, max_probes)
 
     def _apply_crossover(
         self,
         parents: np.ndarray,
-        crossing: np.ndarray,
+        first_rows: np.ndarray,
         operator: CrossoverOperator,
-        rng: np.random.Generator,
+        rngs: Sequence[np.random.Generator],
+        per_problem: int,
     ) -> None:
         # The batch kernel computes cycle crossover specifically, so it only
         # substitutes for the genuine CycleCrossover operator (subclasses may
@@ -591,7 +647,6 @@ class VectorizedBackend(KernelBackend):
         # operator — including ones that draw per pair, like PMX and OX —
         # follows contract stage 3, identical to the loop backend.
         if type(operator) is CycleCrossover:
-            first_rows = 2 * crossing
             second_rows = first_rows + 1
             children_a, children_b = cycle_crossover_batch(
                 parents[first_rows], parents[second_rows]
@@ -599,7 +654,7 @@ class VectorizedBackend(KernelBackend):
             parents[first_rows] = children_a
             parents[second_rows] = children_b
             return
-        self._cross_pairs_sequentially(parents, crossing, operator, rng)
+        self._cross_pairs_sequentially(parents, first_rows, operator, rngs, per_problem)
 
     def _apply_swaps(
         self,

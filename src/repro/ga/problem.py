@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..util.errors import ConfigurationError
 from ..workloads.task import Task
 
-__all__ = ["BatchProblem"]
+__all__ = ["BatchProblem", "ProblemGroup"]
 
 
 @dataclass(frozen=True)
@@ -202,3 +202,82 @@ class BatchProblem:
             f"BatchProblem(H={self.n_tasks}, M={self.n_processors}, "
             f"psi={self.optimal_time():.4g}s)"
         )
+
+
+class ProblemGroup:
+    """``K`` batch problems of one shape, laid out for a stacked population.
+
+    The GA evolves a group as one ``(K·P, L)`` population matrix: rows
+    ``k·P … k·P + P − 1`` belong to ``problems[k]``.  The per-row tables
+    below give each row its own problem's cost table, pending times, ψ,
+    task sizes and processor rates, so a kernel gathers per row where a solo
+    kernel read one problem.  A solo run is a group of one.
+
+    The group answers the problem protocol of
+    :func:`repro.ga.fitness.evaluate_assignments` (``n_tasks``,
+    ``n_processors``, :meth:`assigned_task_costs`, :meth:`pending_times`,
+    :meth:`optimal_time`), with the pending times and ψ as per-row arrays.
+    """
+
+    def __init__(self, problems: Sequence[BatchProblem], rows: int) -> None:
+        self.problems: Tuple[BatchProblem, ...] = tuple(problems)
+        if not self.problems:
+            raise ConfigurationError("a problem group needs at least one problem")
+        self.n_tasks = self.problems[0].n_tasks
+        self.n_processors = self.problems[0].n_processors
+        if any(
+            p.n_tasks != self.n_tasks or p.n_processors != self.n_processors
+            for p in self.problems
+        ):
+            raise ConfigurationError("problems in a group must share one (H, M) shape")
+        self.rows = int(rows)
+        k, h, m = len(self.problems), self.n_tasks, self.n_processors
+        #: Flat ``(K·H·M,)`` cost tables and each row's ``(H,)`` gather offsets into them.
+        self._costs = np.concatenate([p.task_costs.ravel() for p in self.problems])
+        self._cost_offsets = self._per_row(
+            np.arange(0, k * h * m, h * m)[:, None] + np.arange(0, h * m, m)
+        )
+        self._pending = self._per_row(np.stack([p.pending_times() for p in self.problems]))
+        #: ψ of each row's problem: a ``(K·P, 1)`` column, or the one ψ of a
+        #: group of one (broadcasting reads both alike; a scalar is cheaper).
+        self.psi = (
+            self.problems[0].optimal_time()
+            if k == 1
+            else self._per_row(np.array([[p.optimal_time()] for p in self.problems]))
+        )
+
+    def _per_row(self, values: np.ndarray) -> np.ndarray:
+        """Repeat each problem's entry of *values* for its ``P`` rows."""
+        return values.repeat(self.rows, axis=0)
+
+    # The re-balancing heuristic's tables, built on first use.
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Flat ``(K·H,)`` task sizes; row ``r`` reads ``sizes[size_offsets[r] + i]``."""
+        return np.concatenate([p.sizes for p in self.problems])
+
+    @cached_property
+    def size_offsets(self) -> np.ndarray:
+        return self._per_row(np.arange(0, len(self.problems) * self.n_tasks, self.n_tasks))
+
+    @cached_property
+    def rates(self) -> np.ndarray:
+        """Flat ``(K·M,)`` processor rates; row ``r`` reads ``rates[rate_offsets[r] + j]``."""
+        return np.concatenate([p.rates for p in self.problems])
+
+    @cached_property
+    def rate_offsets(self) -> np.ndarray:
+        m = self.n_processors
+        return self._per_row(np.arange(0, len(self.problems) * m, m))
+
+    def assigned_task_costs(self, assignments: np.ndarray) -> np.ndarray:
+        """Each row's :meth:`BatchProblem.assigned_task_costs`, in one flat gather."""
+        return self._costs[assignments + self._cost_offsets]
+
+    def pending_times(self) -> np.ndarray:
+        """``(K·P, M)``: each row's problem's pending times."""
+        return self._pending
+
+    def optimal_time(self) -> Union[float, np.ndarray]:
+        """Each row's problem's ψ (see :attr:`psi`)."""
+        return self.psi

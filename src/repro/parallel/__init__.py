@@ -9,6 +9,7 @@ bit-identical to a serial run with the same master seed.  See
 """
 
 from .executor import (
+    LOCKSTEP_WIDTH,
     ExperimentExecutor,
     ParallelExecutor,
     SerialExecutor,
@@ -25,6 +26,7 @@ from .jobs import (
 )
 
 __all__ = [
+    "LOCKSTEP_WIDTH",
     "ExperimentExecutor",
     "SerialExecutor",
     "ParallelExecutor",

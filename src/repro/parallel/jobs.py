@@ -177,8 +177,9 @@ class GARunOutcome:
     """The scalars and history the experiment harness aggregates from a GA run.
 
     ``elapsed_seconds`` is measured around the whole ``evolve`` call in the
-    worker (what Fig. 4 plots); ``wall_time_seconds`` is the GA's own
-    internally reported timing.
+    worker (what Fig. 4 plots, so Fig. 4 runs its jobs one at a time);
+    ``wall_time_seconds`` is the GA's own internally reported timing, a
+    stacked run's share of its group's (see :class:`~repro.ga.GAResult`).
     """
 
     best_makespan: float

@@ -151,6 +151,11 @@ class DiscreteEventEngine:
             self._registration_order.append(kind)
         self._handler_table[KIND_CODES[kind]] = handler
 
+    def unregister_all(self) -> None:
+        """Drop every handler (a later :meth:`register` starts afresh)."""
+        self._handler_table = [None] * _N_KINDS
+        self._registration_order = []
+
     def registered_kinds(self) -> List[EventKind]:
         """Event kinds that currently have a handler (in registration order)."""
         return list(self._registration_order)

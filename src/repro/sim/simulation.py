@@ -189,21 +189,7 @@ class DistributedSystemSimulation:
         # either way: results stay bit-identical.
         self._phase_timing = self.config.phase_timing or get_session() is not None
 
-        self.engine.register(EventKind.TASK_ARRIVAL, self._on_task_arrival)
-        self.engine.register(
-            EventKind.INVOKE_SCHEDULER, self._phased("scheduling", self._on_invoke_scheduler)
-        )
-        self.engine.register(
-            EventKind.WORKER_FETCH, self._phased("dispatch", self._on_worker_fetch)
-        )
-        self.engine.register(
-            EventKind.TASK_COMPLETION, self._phased("drain", self._on_task_completion)
-        )
         if dynamics is not None:
-            self.engine.register(EventKind.WORKER_FAILURE, self._on_worker_failure)
-            self.engine.register(EventKind.WORKER_RECOVERY, self._on_worker_recovery)
-            self.engine.register(EventKind.WORKER_JOIN, self._on_worker_join)
-            self.engine.register(EventKind.LOAD_SPIKE, self._on_load_spike)
             for proc in dynamics.initially_offline():
                 proc = int(proc)
                 if not (0 <= proc < cluster.n_processors):
@@ -215,6 +201,27 @@ class DistributedSystemSimulation:
                 # no downtime (they were never part of the cluster).
                 self.workers[proc].online = False
                 self.master.mark_offline(proc)
+
+    def _register_handlers(self) -> None:
+        """Register the event handlers (bound methods of this simulation).
+
+        Only for the length of an event-driven run: while registered, the
+        engine's handler table and this simulation reference each other, and
+        a finished run must be freed by reference counting, not left as
+        cyclic garbage.
+        """
+        engine = self.engine
+        engine.register(EventKind.TASK_ARRIVAL, self._on_task_arrival)
+        engine.register(
+            EventKind.INVOKE_SCHEDULER, self._phased("scheduling", self._on_invoke_scheduler)
+        )
+        engine.register(EventKind.WORKER_FETCH, self._phased("dispatch", self._on_worker_fetch))
+        engine.register(EventKind.TASK_COMPLETION, self._phased("drain", self._on_task_completion))
+        if self._dynamics is not None:
+            engine.register(EventKind.WORKER_FAILURE, self._on_worker_failure)
+            engine.register(EventKind.WORKER_RECOVERY, self._on_worker_recovery)
+            engine.register(EventKind.WORKER_JOIN, self._on_worker_join)
+            engine.register(EventKind.LOAD_SPIKE, self._on_load_spike)
 
     def _phased(
         self, phase: str, handler: Callable[[Event], None]
@@ -383,15 +390,19 @@ class DistributedSystemSimulation:
 
     def _run_event_driven(self) -> Tuple[float, int]:
         """Pump the discrete-event engine; returns (end time, events processed)."""
-        for task in self.tasks:
-            self.engine.schedule(task.arrival_time, EventKind.TASK_ARRIVAL, task=task)
-        if self._dynamics is not None:
-            next_task_id = max(task.task_id for task in self.tasks) + 1
-            for time, kind, data in self._dynamics.sim_events(
-                next_task_id=next_task_id, rng=self._dynamics_rng
-            ):
-                self.engine.schedule(time, kind, **data)
-        end_time = self.engine.run(until=self.config.time_horizon)
+        self._register_handlers()
+        try:
+            for task in self.tasks:
+                self.engine.schedule(task.arrival_time, EventKind.TASK_ARRIVAL, task=task)
+            if self._dynamics is not None:
+                next_task_id = max(task.task_id for task in self.tasks) + 1
+                for time, kind, data in self._dynamics.sim_events(
+                    next_task_id=next_task_id, rng=self._dynamics_rng
+                ):
+                    self.engine.schedule(time, kind, **data)
+            end_time = self.engine.run(until=self.config.time_horizon)
+        finally:
+            self.engine.unregister_all()
         return end_time, self.engine.processed_events
 
     def run(self) -> SimulationResult:

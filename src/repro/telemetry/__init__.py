@@ -67,6 +67,7 @@ from .spans import (
     enable,
     get_session,
     span,
+    start_spans_under_caller,
     telemetry_session,
     traced,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "disable",
     "telemetry_session",
     "span",
+    "start_spans_under_caller",
     "traced",
     # metrics
     "DEFAULT_EDGES",

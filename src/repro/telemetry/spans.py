@@ -22,12 +22,20 @@ executor) create one session per worker-side job, snapshot it, and ship
 the snapshot back with the result; the driver merges it under
 its own open span with per-worker attribution — see
 :mod:`repro.telemetry.remote`.
+
+Within a process every thread has its own stack of open spans, so spans
+opened by concurrent threads never adopt each other as parents.  A thread
+registered with :func:`start_spans_under_caller` (the serial executor's
+lockstep job threads) starts its stack at the span that was open in the
+registering thread.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 import time
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional
@@ -44,12 +52,28 @@ __all__ = [
     "disable",
     "telemetry_session",
     "span",
+    "start_spans_under_caller",
     "traced",
 ]
 
 #: Safety valve: a session stops recording (and counts drops instead) past
 #: this many spans, bounding driver memory over arbitrarily long campaigns.
 MAX_SPANS = 200_000
+
+#: Thread -> the thread whose open span its spans start under.
+_SPAN_ORIGINS: "weakref.WeakKeyDictionary[threading.Thread, threading.Thread]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def start_spans_under_caller(thread: threading.Thread) -> None:
+    """Make *thread*'s spans start under the span open in the calling thread.
+
+    Call it before ``thread.start()``.  In every session, the first span
+    *thread* records takes as its parent the span then open in the calling
+    thread, which the serial executor keeps blocked in ``map`` meanwhile.
+    """
+    _SPAN_ORIGINS[thread] = threading.current_thread()
 
 
 @dataclass
@@ -118,9 +142,9 @@ class TelemetrySession:
 
     Completed spans accumulate in :attr:`spans` (closed-child-first; sort by
     ``span_id`` for creation order) and counters/gauges/histograms in
-    :attr:`metrics`.  The session tracks the stack of *open* spans so that
-    new spans — including whole subtrees merged from worker snapshots —
-    attach to the innermost open one.
+    :attr:`metrics`.  The session tracks each thread's stack of *open* spans
+    so that new spans — including whole subtrees merged from worker
+    snapshots — attach to the innermost span open in their own thread.
     """
 
     def __init__(
@@ -136,15 +160,29 @@ class TelemetrySession:
         #: enabled-telemetry hot path stays probe-free unless asked.
         self.capture_resources = bool(capture_resources)
         self._probe = make_probe(self.capture_resources)
-        self._stack: List[int] = []
+        self._stacks: "weakref.WeakKeyDictionary[threading.Thread, List[int]]" = (
+            weakref.WeakKeyDictionary()
+        )
         self._next_id = 0
         self._t0 = time.perf_counter()
 
     # -- recording ---------------------------------------------------------------------
+    def _stack(self, thread: Optional[threading.Thread] = None) -> List[int]:
+        """*thread*'s (default: this thread's) stack of open span ids."""
+        thread = thread or threading.current_thread()
+        stack = self._stacks.get(thread)
+        if stack is None:
+            origin = _SPAN_ORIGINS.get(thread)
+            # Start at the origin's innermost open span, if it has one.
+            stack = self._stack(origin)[-1:] if origin is not None else []
+            self._stacks[thread] = stack
+        return stack
+
     @property
     def current_span_id(self) -> Optional[int]:
-        """Id of the innermost open span (``None`` at the root)."""
-        return self._stack[-1] if self._stack else None
+        """Id of this thread's innermost open span (``None`` at the root)."""
+        stack = self._stack()
+        return stack[-1] if stack else None
 
     def _now(self) -> float:
         return time.perf_counter() - self._t0
@@ -165,15 +203,16 @@ class TelemetrySession:
         """
         span_id = self._next_id
         self._next_id += 1
-        parent_id = self.current_span_id
-        self._stack.append(span_id)
+        stack = self._stack()
+        parent_id = stack[-1] if stack else None
+        stack.append(span_id)
         probe = self._probe
         before = probe.sample() if probe is not None else None
         start = self._now()
         try:
             yield
         finally:
-            self._stack.pop()
+            stack.pop()
             cpu_time, rss_delta, collections = (
                 probe.delta(before, probe.sample())
                 if probe is not None

@@ -9,7 +9,7 @@ random draws made by one component changes.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -19,6 +19,7 @@ __all__ = [
     "spawn_rngs",
     "derive_rng",
     "random_seed",
+    "random_rows",
 ]
 
 #: Accepted forms of randomness sources throughout the library.
@@ -106,3 +107,18 @@ def derive_rng(rng: RNGLike, *keys: Union[int, str]) -> np.random.Generator:
 def random_seed(rng: RNGLike = None) -> int:
     """Draw a fresh integer seed (suitable for child components) from *rng*."""
     return int(ensure_rng(rng).integers(0, 2**31 - 1))
+
+
+def random_rows(rngs: Sequence[np.random.Generator], shape: Tuple[int, ...]) -> np.ndarray:
+    """``rngs[k].random(shape)`` for every generator, concatenated along axis 0.
+
+    Each generator makes exactly the one draw it would make alone, so
+    stacking independent problems' draws leaves every stream bit-identical.
+    """
+    if len(rngs) == 1:
+        return rngs[0].random(shape)
+    rows = shape[0]
+    out = np.empty((len(rngs) * rows,) + tuple(shape[1:]))
+    for k, rng in enumerate(rngs):
+        rng.random(out=out[k * rows : (k + 1) * rows])
+    return out

@@ -32,6 +32,7 @@ from repro.ga import (
     completion_times,
     GeneticAlgorithm,
     LoopBackend,
+    ProblemGroup,
     VectorizedBackend,
     backend_from_name,
     cycle_crossover_batch,
@@ -277,9 +278,9 @@ class TestVectorizedRebalance:
                     pop_copy,
                     assignments,
                     before.completions.copy(),
-                    problem,
+                    ProblemGroup([problem], 10),
                     2,
-                    np.random.default_rng(seed + 1),
+                    [np.random.default_rng(seed + 1)],
                     5,
                 )
                 after = evaluate_assignments(assignments, problem)
@@ -322,7 +323,7 @@ class TestBackendParity:
         for backend in BACKENDS:
             work = parents.copy()
             out = backend_from_name(backend).crossover(
-                work, CycleCrossover(), 0.8, np.random.default_rng(99)
+                work, CycleCrossover(), 0.8, [np.random.default_rng(99)]
             )
             results.append(out.copy())
         assert np.array_equal(results[0], results[1])
@@ -336,7 +337,7 @@ class TestBackendParity:
         for backend in BACKENDS:
             work = parents.copy()
             out = backend_from_name(backend).crossover(
-                work, operator(), 0.9, np.random.default_rng(5)
+                work, operator(), 0.9, [np.random.default_rng(5)]
             )
             results.append(out.copy())
         assert np.array_equal(results[0], results[1])
@@ -348,9 +349,7 @@ class TestBackendParity:
         results = []
         for backend in BACKENDS:
             work = population.copy()
-            out = backend_from_name(backend).mutate(
-                work, 0.7, 2, np.random.default_rng(21)
-            )
+            out = backend_from_name(backend).mutate(work, 0.7, 2, [np.random.default_rng(21)])
             results.append(out.copy())
         assert np.array_equal(results[0], results[1])
 
@@ -372,7 +371,7 @@ class TestBackendParity:
         for backend in BACKENDS:
             work = parents.copy()
             out = backend_from_name(backend).crossover(
-                work, SwapHalvesCrossover(), 1.0, np.random.default_rng(33)
+                work, SwapHalvesCrossover(), 1.0, [np.random.default_rng(33)]
             )
             results.append(out.copy())
         assert np.array_equal(results[0], results[1])

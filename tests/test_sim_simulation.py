@@ -1,5 +1,7 @@
 """Integration-level tests of the full master/worker simulation."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,9 @@ from repro.schedulers import (
     RoundRobinScheduler,
     make_scheduler,
 )
-from repro.sim import SimulationConfig, simulate_schedule
+from repro.experiments import get_scale
+from repro.scenarios.runner import build_scenario_cells, resolve_scenario_specs, run_scenario_cell
+from repro.sim import DistributedSystemSimulation, SimulationConfig, simulate_schedule
 from repro.util.errors import SimulationError
 from repro.workloads import (
     PoissonArrivals,
@@ -200,3 +204,60 @@ class TestSchedulerQuality:
         )
         # PN should be at least in the same ballpark as the greedy heuristic
         assert pn.makespan <= ef.makespan * 1.25
+
+
+def _cyclic_garbage_after(run) -> int:
+    """Objects ``gc.collect()`` finds after *run* returns, with gc off meanwhile."""
+    run()  # warm caches and lazy imports first
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestNoReferenceCycles:
+    """A finished simulation is freed by reference counting: it leaves no
+    cyclic garbage, so suspended lockstep jobs do not pile it up."""
+
+    @pytest.mark.parametrize("name", ["EF", "PN"])
+    def test_simulate_schedule(self, name, random_cluster):
+        tasks = generate_workload(
+            WorkloadSpec(n_tasks=40, sizes=UniformSizes(10.0, 1000.0)),
+            np.random.default_rng(3),
+        )
+
+        def run():
+            scheduler = make_scheduler(
+                name,
+                n_processors=random_cluster.n_processors,
+                batch_size=10,
+                max_generations=5,
+                rng=4,
+            )
+            simulate_schedule(scheduler, random_cluster, tasks, rng=5)
+
+        assert _cyclic_garbage_after(run) == 0
+
+    def test_dynamics_scenario_cell(self):
+        scale = get_scale("smoke")
+        cells, _ = build_scenario_cells(
+            resolve_scenario_specs(["failure-storm"], scale),
+            scale=scale,
+            schedulers=["PN"],
+            n_repeats=1,
+            sim_config=SimulationConfig(),
+            master_rng=np.random.default_rng(0),
+        )
+        assert _cyclic_garbage_after(lambda: run_scenario_cell(cells[0])) == 0
+
+    def test_second_run_still_fails_loudly(self, small_cluster, small_tasks):
+        sim = DistributedSystemSimulation(
+            EarliestFirstScheduler(), small_cluster, small_tasks, rng=0
+        )
+        sim.uses_fast_path = lambda: False
+        sim.run()
+        with pytest.raises(SimulationError, match="before the current time"):
+            sim.run()

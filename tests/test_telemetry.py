@@ -11,6 +11,7 @@ The two contracts the rest of the repo depends on are pinned here:
 
 import hashlib
 import json
+import threading
 import time
 
 import numpy as np
@@ -34,6 +35,7 @@ from repro.telemetry import (
     load_run_jsonl,
     render_tree,
     span,
+    start_spans_under_caller,
     summarize_spans,
     telemetry_session,
     top_spans,
@@ -136,6 +138,47 @@ class TestSpans:
                     raise ValueError("boom")
         assert [s.name for s in session.spans] == ["failing"]
         assert session.current_span_id is None
+
+    def test_spans_in_two_threads_keep_separate_parents(self):
+        """Each thread has its own open-span stack: a span opened in one
+        thread while another thread's span is open is not its child."""
+        session = TelemetrySession()
+        a_open, b_done = threading.Event(), threading.Event()
+
+        def in_a():
+            with session.span("a"):
+                a_open.set()
+                b_done.wait(10.0)
+                with session.span("a-child"):
+                    pass
+
+        def in_b():
+            a_open.wait(10.0)
+            with session.span("b"):
+                session.record_span("b-phase", 0.1)
+            b_done.set()
+
+        threads = [threading.Thread(target=in_a), threading.Thread(target=in_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10.0)
+        by_name = {s.name: s for s in session.spans}
+        assert by_name["a"].parent_id is None
+        assert by_name["b"].parent_id is None
+        assert by_name["b-phase"].parent_id == by_name["b"].span_id
+        assert by_name["a-child"].parent_id == by_name["a"].span_id
+        assert validate_span_tree(session.spans) == []
+
+    def test_registered_thread_starts_under_the_callers_span(self):
+        session = TelemetrySession()
+        with session.span("caller"):
+            worker = threading.Thread(target=lambda: session.record_span("job", 0.1))
+            start_spans_under_caller(worker)
+            worker.start()
+            worker.join(10.0)
+        by_name = {s.name: s for s in session.spans}
+        assert by_name["job"].parent_id == by_name["caller"].span_id
 
 
 class TestPhaseTimer:
@@ -469,6 +512,29 @@ class TestCliTelemetry:
         assert main(args + ["--telemetry", str(tmp_path / "t.jsonl")]) == 0
         observed = capsys.readouterr().out
         assert deterministic(observed) == deterministic(plain)
+
+    def test_figure_export_nests_lockstep_runs(self, tmp_path, capsys):
+        """fig5's repeat jobs run in lockstep on job threads: each job's
+        ``sim:run`` still sits under the figure, and each GA run under the
+        PN or ZO simulation that asked for it."""
+        path = str(tmp_path / "fig5.jsonl")
+        assert main(["fig5", "--scale", "smoke", "--seed", "1", "--telemetry", path]) == 0
+        capsys.readouterr()
+        spans = load_run_jsonl(path)["spans"]
+        assert validate_span_tree(spans) == []
+        by_id = {s.span_id: s for s in spans}
+        roots = [s for s in spans if s.parent_id is None]
+        assert [s.name for s in roots] == ["figure:fig5"]
+        sims = [s for s in spans if s.name == "sim:run"]
+        assert len(sims) == 14
+        assert all(by_id[s.parent_id].name == "figure:fig5" for s in sims)
+        evolves = [s for s in spans if s.name == "ga:evolve"]
+        assert evolves
+        for evolve in evolves:
+            parent = by_id[evolve.parent_id]
+            assert parent.name == "sim:run"
+            assert parent.attrs["scheduler"] in ("PN", "ZO")
+            assert evolve.attrs["stacked"] == 2
 
     def test_summarize_missing_file_errors(self, tmp_path, capsys):
         assert main(["telemetry", "summarize", str(tmp_path / "nope.jsonl")]) == 2
