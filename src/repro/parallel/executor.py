@@ -228,8 +228,8 @@ class _Lockstep:
                 while next_job < len(self.jobs) and len(waiting) < self.width:
                     thread = _JobThread(self, self.fn, self.jobs[next_job])
                     start_spans_under_caller(thread)
-                    thread.start()
                     started.append(thread)
+                    thread.start()
                     self._step(thread)
                     if thread.done:
                         results[next_job] = self._collect(thread)
@@ -253,7 +253,8 @@ class _Lockstep:
             for thread in started:
                 thread.turn.release()
             for thread in started:
-                thread.join()
+                if thread.is_alive():
+                    thread.join()
             raise
         for thread in started:
             thread.join()
