@@ -158,10 +158,10 @@ class _JobThread(threading.Thread):
         self.error: Optional[BaseException] = None
 
     def run(self) -> None:
-        if self._lockstep.cpus is not None:
-            os.sched_setaffinity(0, self._lockstep.cpus)
         install_waiter(self._wait)
         try:
+            if self._lockstep.cpus is not None:
+                os.sched_setaffinity(0, self._lockstep.cpus)
             self.turn.acquire()
             if not self._lockstep.cancelled:
                 self.result = self._fn(self._job)
@@ -208,10 +208,10 @@ class _Lockstep:
         # warm caches, instead of waking another (possibly idle) CPU.
         try:
             caller_cpus = os.sched_getaffinity(0)
-        except (AttributeError, OSError):  # no thread affinity on this platform
+            os.sched_setaffinity(0, {min(caller_cpus)})
+        except (AttributeError, OSError):  # no thread affinity here
             return self._run()
         self.cpus = {min(caller_cpus)}
-        os.sched_setaffinity(0, self.cpus)
         try:
             return self._run()
         finally:

@@ -127,6 +127,13 @@ class TestScheduling:
             SerialExecutor().map(fails, [1])
         assert os.sched_getaffinity(0) == before
 
+    def test_map_runs_where_affinity_is_refused(self, monkeypatch):
+        def refuse(pid, cpus):
+            raise OSError("not permitted")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        assert SerialExecutor().map(_steps, [2, 3]) == [_steps(2), _steps(3)]
+
     def test_imap_stays_sequential(self):
         SerialExecutor().imap(_steps, [2, 2])  # lazy: nothing runs yet
         assert BATCHES == []
