@@ -201,6 +201,8 @@ class _Lockstep:
         self.cancelled = False
         #: The one CPU the map's threads run on (``None``: not pinned).
         self.cpus: Optional[Set[int]] = None
+        #: Job threads started and not yet collected.
+        self.live: List[_JobThread] = []
 
     def run(self) -> List[R]:
         # Only one thread of the map runs at a time, so they all share one
@@ -219,7 +221,6 @@ class _Lockstep:
 
     def _run(self) -> List[R]:
         results: List[Any] = [None] * len(self.jobs)
-        started: List[_JobThread] = []
         waiting: List[Tuple[int, _JobThread]] = []
         next_job = 0
         try:
@@ -228,7 +229,7 @@ class _Lockstep:
                 while next_job < len(self.jobs) and len(waiting) < self.width:
                     thread = _JobThread(self, self.fn, self.jobs[next_job])
                     start_spans_under_caller(thread)
-                    started.append(thread)
+                    self.live.append(thread)
                     thread.start()
                     self._step(thread)
                     if thread.done:
@@ -250,14 +251,12 @@ class _Lockstep:
             # A job raised, or the caller was interrupted: release every other
             # job so that its thread unwinds and exits.
             self.cancelled = True
-            for thread in started:
+            for thread in self.live:
                 thread.turn.release()
-            for thread in started:
+            for thread in self.live:
                 if thread.is_alive():
                     thread.join()
             raise
-        for thread in started:
-            thread.join()
         return results
 
     def _step(self, thread: _JobThread) -> None:
@@ -266,8 +265,10 @@ class _Lockstep:
         while not self.yielded.acquire(timeout=_POLL_SECONDS):
             pass
 
-    @staticmethod
-    def _collect(thread: _JobThread) -> Any:
+    def _collect(self, thread: _JobThread) -> Any:
+        """Join a finished job's thread; return its result or raise its error."""
+        thread.join()
+        self.live.remove(thread)
         if thread.error is not None:
             raise thread.error
         return thread.result
