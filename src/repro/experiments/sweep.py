@@ -182,9 +182,10 @@ def sweep_ga_parameter(
     generations) bit-identical between serial and parallel runs.  The
     ``wall_time`` summary is a measurement and therefore varies run to run;
     with ``jobs > 1`` it also absorbs core contention, so sweep serially
-    when absolute timings matter.  Serially, runs of equal config evolve
-    stacked (see :class:`~repro.parallel.SerialExecutor`), and each reports
-    its equal share of its group's wall time.
+    when absolute timings matter.  The jobs go through ``imap``, which runs
+    them one at a time, so every run's ``wall_time`` is its own: a serial
+    ``map`` would stack runs of equal config, and each would report a share
+    of its group's time.
     """
     scale = scale or default_scale()
     repeats = repeats or scale.repeats
@@ -192,7 +193,7 @@ def sweep_ga_parameter(
     jobs = build_sweep_jobs(
         parameter, values, scale=scale, repeats=repeats, seed=seed, base_config=base_config
     )
-    outcomes = executor.map(run_ga_job, jobs)
+    outcomes = list(executor.imap(run_ga_job, jobs))
     return aggregate_sweep_outcomes(
         parameter, values, repeats, outcomes, executor=executor.describe()
     )

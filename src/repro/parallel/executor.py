@@ -51,6 +51,7 @@ deterministically would kill the retry too.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import threading
@@ -189,6 +190,24 @@ class _JobThread(threading.Thread):
         return value
 
 
+def _one_cpu() -> Optional[Set[int]]:
+    """The CPU a lockstep map keeps its threads on: the one its caller is on.
+
+    Keeping the caller's CPU leaves concurrent processes on the CPUs the
+    kernel spread them over.  ``None`` (do not pin) in a multiprocessing
+    child such as a pool worker, whose siblings run maps at the same time,
+    and where the current CPU cannot be read (outside Linux).
+    """
+    if multiprocessing.parent_process() is not None:
+        return None
+    try:
+        with open("/proc/thread-self/stat", "rb") as stat:
+            # Field 39, "processor"; fields 1–2 are the pid and "(comm)".
+            return {int(stat.read().rsplit(b")", 1)[1].split()[36])}
+    except (OSError, IndexError, ValueError):
+        return None
+
+
 class _Lockstep:
     """Runs one serial ``map`` as cooperative job threads (module docstring)."""
 
@@ -208,12 +227,15 @@ class _Lockstep:
         # Only one thread of the map runs at a time, so they all share one
         # CPU: a hand-off then wakes a thread on the CPU just given up, with
         # warm caches, instead of waking another (possibly idle) CPU.
+        cpus = _one_cpu()
+        if cpus is None:
+            return self._run()
         try:
             caller_cpus = os.sched_getaffinity(0)
-            os.sched_setaffinity(0, {min(caller_cpus)})
+            os.sched_setaffinity(0, cpus)
         except (AttributeError, OSError):  # no thread affinity here
             return self._run()
-        self.cpus = {min(caller_cpus)}
+        self.cpus = cpus
         try:
             return self._run()
         finally:
@@ -295,9 +317,10 @@ class SerialExecutor(ExperimentExecutor):
     threads so that their GA runs can evolve as stacked populations (see the
     module docstring).  A job that raises stops the map: the other jobs are
     abandoned and ``map`` re-raises the error.  Where the platform supports
-    thread affinity, the map runs the caller and its job threads on one CPU
-    and restores the caller's CPU set on return; threads and processes that a
-    job starts inherit that one CPU.
+    thread affinity, the map runs the caller and its job threads on the CPU
+    the caller is on and restores the caller's CPU set on return; threads and
+    processes that a job starts inherit that one CPU.  A map in a
+    multiprocessing child (a pool worker) does not pin its threads.
     """
 
     jobs = 1

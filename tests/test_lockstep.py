@@ -17,10 +17,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.experiments import get_scale, run_figure
+from repro.experiments import get_scale, run_figure, sweep_ga_parameter
 from repro.ga import BatchProblem, GAConfig, GeneticAlgorithm
-from repro.parallel import LOCKSTEP_WIDTH, SerialExecutor
-from repro.telemetry import TelemetrySession, telemetry_session
+from repro.parallel import LOCKSTEP_WIDTH, ParallelExecutor, SerialExecutor
+from repro.telemetry import TelemetrySession, span, telemetry_session
 from repro.util.lockstep import batched
 
 JOB_THREAD = "repro-lockstep-job"
@@ -37,6 +37,14 @@ def _double_all(items):
 def _steps(n):
     """A job that makes *n* batched calls and returns their results."""
     return [batched(_double_all, 10 * n + step) for step in range(n)]
+
+
+def _affinity_in_a_map(_):
+    """The CPUs a serial map's job may run on (module-level: a pool runs it)."""
+    return SerialExecutor().map(lambda n: os.sched_getaffinity(0), [0])[0]
+
+
+HAS_TWO_CPUS = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
 
 
 @pytest.fixture(autouse=True)
@@ -127,6 +135,23 @@ class TestScheduling:
             SerialExecutor().map(fails, [1])
         assert os.sched_getaffinity(0) == before
 
+    @pytest.mark.skipif(not HAS_TWO_CPUS, reason="needs thread affinity and two CPUs")
+    def test_map_keeps_the_cpu_its_caller_is_on(self):
+        before = os.sched_getaffinity(0)
+        for cpu in sorted(before)[-2:]:
+            os.sched_setaffinity(0, {cpu})
+            try:
+                seen = SerialExecutor().map(lambda n: os.sched_getaffinity(0), [0, 1])
+            finally:
+                os.sched_setaffinity(0, before)
+            assert seen == [{cpu}, {cpu}]
+
+    @pytest.mark.skipif(not HAS_TWO_CPUS, reason="needs thread affinity and two CPUs")
+    def test_pool_workers_maps_do_not_share_one_cpu(self):
+        with ParallelExecutor(2) as executor:
+            seen = executor.map(_affinity_in_a_map, [0, 1])
+        assert len(seen[0] | seen[1]) > 1
+
     def test_map_runs_where_affinity_is_refused(self, monkeypatch):
         def refuse(pid, cpus):
             raise OSError("not permitted")
@@ -214,16 +239,22 @@ class TestGAStacking:
                 assert run[3] == LOCKSTEP_WIDTH
 
     def test_figure4_runs_never_stack(self):
-        """fig4 plots each run's measured seconds, so it runs them alone;
-        fig3 maps the same kind of runs and stacks them."""
+        """fig4 and the GA sweep report each run's measured seconds, so they
+        run them alone; fig3 maps the same kind of runs and stacks them."""
         scale = get_scale("smoke").scaled(repeats=2, convergence_generations=4)
         with telemetry_session(TelemetrySession()) as session:
             run_figure("fig4", scale=scale, seed=3)
             run_figure("fig3", scale=scale, seed=3)
-        by_id = {span.span_id: span for span in session.spans}
+            with span("sweep"):
+                sweep_ga_parameter("n_rebalances", [0, 1], scale=scale, repeats=3, seed=3)
+        by_id = {opened.span_id: opened for opened in session.spans}
         stacked = {}
-        for span in session.spans:
-            if span.name == "ga:evolve":
-                figure = by_id[span.parent_id].name
-                stacked.setdefault(figure, set()).add(span.attrs["stacked"])
-        assert stacked == {"figure:fig4": {1}, "figure:fig3": {2}}
+        for opened in session.spans:
+            if opened.name == "ga:evolve":
+                parent = by_id[opened.parent_id].name
+                stacked.setdefault(parent, []).append(opened.attrs["stacked"])
+        assert stacked == {
+            "figure:fig4": [1] * 12,
+            "figure:fig3": [2] * 6,
+            "sweep": [1] * 6,
+        }
