@@ -30,7 +30,6 @@ from .kernels import (
     decode_population,
     draw_swap_positions,
     rebalance_group,
-    rebalance_population,
     swap_positions_batch,
 )
 from .fitness import (
@@ -117,7 +116,6 @@ __all__ = [
     "draw_swap_positions",
     "swap_positions_batch",
     "rebalance_group",
-    "rebalance_population",
     # population
     "list_scheduled_assignment",
     "seeded_individual",

@@ -315,8 +315,6 @@ def _evolve_group(runs: Sequence[_Run]) -> List[GAResult]:
     group = ProblemGroup([run.problem for run in runs], pop)
     rngs = [run.engine._rng for run in runs]
     row_starts = np.arange(0, n_runs * pop, pop)
-    parent_offsets = row_starts[:, None]
-    elite_rows = [row_starts + slot for slot in range(cfg.elitism)]
     # Only a run alone can stop early (see ``_Run.stackable``).
     stop_callback = runs[0].stop_callback
     timings = PhaseTimer()
@@ -337,13 +335,12 @@ def _evolve_group(runs: Sequence[_Run]) -> List[GAResult]:
     generation = 0
 
     def keep_best(result) -> None:
-        rows = row_starts + result.makespans.reshape(n_runs, pop).argmin(axis=1)
-        makespans = result.makespans[rows]
+        by_run = result.makespans.reshape(n_runs, pop)
         # Strictly better only, so ties keep the earlier individual.
-        better = (makespans < best_makespan).nonzero()[0]
+        better = (by_run.min(axis=1) < best_makespan).nonzero()[0]
         if better.size:
-            rows = rows[better]
-            best_makespan[better] = makespans[better]
+            rows = row_starts[better] + by_run[better].argmin(axis=1)
+            best_makespan[better] = result.makespans[rows]
             best_error[better] = result.errors[rows]
             best_fitness[better] = result.fitness[rows]
             best_chromosomes[better] = population[rows]
@@ -404,8 +401,7 @@ def _evolve_group(runs: Sequence[_Run]) -> List[GAResult]:
 
         # -- next generation --------------------------------------------------------
         with timings.measure("selection"):
-            parent_indices = selection.select_rows(fitness_rows, rngs)
-            parents = population[(parent_indices + parent_offsets).ravel()]
+            parents = population[selection.select_rows(fitness_rows, rngs)]
 
         with timings.measure("crossover"):
             children = backend.crossover(parents, crossover, cfg.crossover_rate, rngs)
@@ -413,9 +409,10 @@ def _evolve_group(runs: Sequence[_Run]) -> List[GAResult]:
         with timings.measure("mutation"):
             children = backend.mutate(children, cfg.mutation_rate, cfg.swaps_per_mutation, rngs)
 
-        # Elitism: re-insert the best chromosome(s) found so far.
-        for rows in elite_rows:
-            children[rows] = best_chromosomes
+        # Elitism: re-insert the best chromosome(s) found so far, into the
+        # first rows of each problem's population.
+        for slot in range(cfg.elitism):
+            children[slot::pop] = best_chromosomes
         population = children
 
     assert initial_best is not None

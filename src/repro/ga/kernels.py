@@ -75,7 +75,7 @@ from ..util.rng import random_rows
 from .crossover import CrossoverOperator, CycleCrossover
 from .encoding import chromosome_from_queues, decode_assignment
 from .mutation import apply_position_swaps, rebalance_many
-from .problem import BatchProblem, ProblemGroup
+from .problem import ProblemGroup
 
 __all__ = [
     "BACKEND_NAMES",
@@ -89,7 +89,6 @@ __all__ = [
     "draw_swap_positions",
     "swap_positions_batch",
     "rebalance_group",
-    "rebalance_population",
 ]
 
 #: Valid backend names, in documentation order.
@@ -271,27 +270,6 @@ def swap_positions_batch(
 # Batched re-balancing heuristic
 # ---------------------------------------------------------------------------
 
-def rebalance_population(
-    population: np.ndarray,
-    assignments: np.ndarray,
-    completions: np.ndarray,
-    problem: BatchProblem,
-    n_rebalances: int,
-    rng: np.random.Generator,
-    max_probes: int = 5,
-) -> None:
-    """:func:`rebalance_group` for one problem's population (a group of one)."""
-    rebalance_group(
-        population,
-        assignments,
-        completions,
-        ProblemGroup((problem,), population.shape[0]),
-        n_rebalances,
-        (rng,),
-        max_probes,
-    )
-
-
 def rebalance_group(
     population: np.ndarray,
     assignments: np.ndarray,
@@ -331,8 +309,10 @@ def rebalance_group(
     pop, n_tasks = assignments.shape
     n_procs = completions.shape[1]
     per_problem = pop // len(rngs)
+    # A group of one reads its problem's tables without per-row offsets.
     sizes, size_offsets = group.sizes, group.size_offsets
     rates, rate_offsets = group.rates, group.rate_offsets
+    stacked = size_offsets is not None
     psi = group.psi
     slots = min(max_probes, n_tasks)
     row_ids = np.arange(pop)
@@ -365,23 +345,23 @@ def rebalance_group(
         # (the probe order) followed by its other tasks in index order.
         order = np.where(heavy_mask, probe_keys, other_keys).argsort(axis=1)
         probes = order[:, :slots]
-        probe_size = sizes[probes + size_offsets[:, None]]
+        probe_size = sizes[probes + size_offsets[:, None] if stacked else probes]
         # Candidate: the k-th task (uniform k) not on the heavy processor.
         # (Rows without such a task get an arbitrary one; no slot is viable.)
         k = np.minimum((candidate_uniform * other_counts).astype(int), other_counts - 1)
         candidate = order.ravel()[row_starts + heavy_counts + k]
         candidate_proc = assignments[row_ids, candidate]
-        candidate_size = sizes[candidate + size_offsets]
+        candidate_size = sizes[candidate + size_offsets if stacked else candidate]
         viable = (candidate_size[:, None] < probe_size) & (slot_ids < probe_limit[:, None])
 
         # Completion times after each slot's swap, one trial row per slot.
         delta = candidate_size[:, None] - probe_size
         trials = completions.repeat(slots, axis=0)
         flat_trials = trials.reshape(-1)
-        flat_trials[trial_starts + heavy[:, None]] += delta / rates[heavy + rate_offsets][:, None]
-        flat_trials[trial_starts + candidate_proc[:, None]] -= (
-            delta / rates[candidate_proc + rate_offsets][:, None]
-        )
+        heavy_rate = rates[heavy + rate_offsets if stacked else heavy]
+        candidate_rate = rates[candidate_proc + rate_offsets if stacked else candidate_proc]
+        flat_trials[trial_starts + heavy[:, None]] += delta / heavy_rate[:, None]
+        flat_trials[trial_starts + candidate_proc[:, None]] -= delta / candidate_rate[:, None]
         new_errors = np.sqrt(((trials - trial_psi) ** 2).sum(axis=1)).reshape(pop, slots)
 
         improving = viable & (new_errors < errors[:, None])
@@ -480,17 +460,14 @@ class KernelBackend(ABC):
             return population
         # Contract stage 5, per problem in problem order (rows ascend).
         if len(rngs) == 1:
-            counts = [rows.size]
+            i_pos, j_pos = draw_swap_positions(rngs[0], rows.size, n_swaps, length)
         else:
             counts = np.bincount(rows // per_problem, minlength=len(rngs)).tolist()
-        draws = [
-            draw_swap_positions(rng, count, n_swaps, length)
-            for rng, count in zip(rngs, counts)
-            if count
-        ]
-        if len(draws) == 1:
-            i_pos, j_pos = draws[0]
-        else:
+            draws = [
+                draw_swap_positions(rng, count, n_swaps, length)
+                for rng, count in zip(rngs, counts)
+                if count
+            ]
             i_pos = np.concatenate([i for i, _ in draws])
             j_pos = np.concatenate([j for _, j in draws])
         self._apply_swaps(population, rows, i_pos, j_pos)

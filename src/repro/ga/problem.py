@@ -211,7 +211,9 @@ class ProblemGroup:
     ``k·P … k·P + P − 1`` belong to ``problems[k]``.  The per-row tables
     below give each row its own problem's cost table, pending times, ψ,
     task sizes and processor rates, so a kernel gathers per row where a solo
-    kernel read one problem.  A solo run is a group of one.
+    kernel read one problem.  A solo run is a group of one, which reads its
+    problem's own tables: every row shares them, so there are no per-row
+    offsets to add.
 
     The group answers the problem protocol of
     :func:`repro.ga.fitness.evaluate_assignments` (``n_tasks``,
@@ -232,32 +234,38 @@ class ProblemGroup:
             raise ConfigurationError("problems in a group must share one (H, M) shape")
         self.rows = int(rows)
         k, h, m = len(self.problems), self.n_tasks, self.n_processors
+        if k == 1:
+            problem = self.problems[0]
+            self._costs = problem.task_costs.ravel()
+            self._cost_offsets = problem._task_cost_offsets
+            self._pending = problem.pending_times()
+            self.psi: Union[float, np.ndarray] = problem.optimal_time()
+            self.sizes, self.rates = problem.sizes, problem.rates
+            self.size_offsets = self.rate_offsets = None
+            return
         #: Flat ``(K·H·M,)`` cost tables and each row's ``(H,)`` gather offsets into them.
         self._costs = np.concatenate([p.task_costs.ravel() for p in self.problems])
         self._cost_offsets = self._per_row(
             np.arange(0, k * h * m, h * m)[:, None] + np.arange(0, h * m, m)
         )
         self._pending = self._per_row(np.stack([p.pending_times() for p in self.problems]))
-        #: ψ of each row's problem: a ``(K·P, 1)`` column, or the one ψ of a
-        #: group of one (broadcasting reads both alike; a scalar is cheaper).
-        self.psi = (
-            self.problems[0].optimal_time()
-            if k == 1
-            else self._per_row(np.array([[p.optimal_time()] for p in self.problems]))
-        )
+        #: ψ of each row's problem: a ``(K·P, 1)`` column (a scalar in a group of one).
+        self.psi = self._per_row(np.array([[p.optimal_time()] for p in self.problems]))
 
     def _per_row(self, values: np.ndarray) -> np.ndarray:
         """Repeat each problem's entry of *values* for its ``P`` rows."""
         return values.repeat(self.rows, axis=0)
 
-    # The re-balancing heuristic's tables, built on first use.
+    # The re-balancing heuristic's tables, built on first use.  A group of
+    # one holds its problem's sizes and rates instead, with offsets ``None``.
     @cached_property
     def sizes(self) -> np.ndarray:
         """Flat ``(K·H,)`` task sizes; row ``r`` reads ``sizes[size_offsets[r] + i]``."""
         return np.concatenate([p.sizes for p in self.problems])
 
     @cached_property
-    def size_offsets(self) -> np.ndarray:
+    def size_offsets(self) -> Optional[np.ndarray]:
+        """Each row's offset into :attr:`sizes`."""
         return self._per_row(np.arange(0, len(self.problems) * self.n_tasks, self.n_tasks))
 
     @cached_property
@@ -266,7 +274,8 @@ class ProblemGroup:
         return np.concatenate([p.rates for p in self.problems])
 
     @cached_property
-    def rate_offsets(self) -> np.ndarray:
+    def rate_offsets(self) -> Optional[np.ndarray]:
+        """Each row's offset into :attr:`rates`."""
         m = self.n_processors
         return self._per_row(np.arange(0, len(self.problems) * m, m))
 
@@ -275,7 +284,7 @@ class ProblemGroup:
         return self._costs[assignments + self._cost_offsets]
 
     def pending_times(self) -> np.ndarray:
-        """``(K·P, M)``: each row's problem's pending times."""
+        """Each row's problem's pending times: ``(K·P, M)``, or ``(M,)`` in a group of one."""
         return self._pending
 
     def optimal_time(self) -> Union[float, np.ndarray]:

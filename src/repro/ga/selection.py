@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ..util.errors import ConfigurationError
-from ..util.rng import RNGLike, ensure_rng, random_rows
+from ..util.rng import RNGLike, ensure_rng
 from ..util.validation import require_positive_int
 
 __all__ = [
@@ -77,12 +77,17 @@ class SelectionOperator(ABC):
         """Select a full generation for each of ``K`` stacked problems.
 
         Row ``k`` of the ``(K, P)`` *fitness* matrix is problem ``k``'s
-        population; the result holds ``P`` parent indices into it per row,
-        drawn from ``rngs[k]`` exactly as ``select(fitness[k], P, rngs[k])``.
+        population, rows ``k·P … k·P + P − 1`` of the stacked population.
+        The result holds ``K·P`` indices of stacked rows: problem ``k``'s
+        ``P`` parents, drawn from ``rngs[k]`` exactly as
+        ``select(fitness[k], P, rngs[k])``.
         """
+        n = fitness.shape[1]
         if len(rngs) == 1:
-            return self.select(fitness[0], fitness.shape[1], rng=rngs[0])[None]
-        return np.stack([self.select(row, row.size, rng=rng) for row, rng in zip(fitness, rngs)])
+            return self.select(fitness[0], n, rng=rngs[0])
+        return np.concatenate(
+            [self.select(row, n, rng=rng) + k * n for k, (row, rng) in enumerate(zip(fitness, rngs))]
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -95,31 +100,6 @@ class RouletteWheelSelection(SelectionOperator):
 
     def select(self, fitness: np.ndarray, n: int, rng: RNGLike = None) -> np.ndarray:
         return roulette_select(fitness, n, rng=rng)
-
-    def select_rows(self, fitness: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """:func:`roulette_select` on every row at once, bit for bit.
-
-        The wheels are built for all rows at once; each row then spins its
-        own wheel with its own generator's ``P`` uniforms.  One wheel alone
-        is cheaper through the 1-D kernel, which makes fewer NumPy calls.
-        """
-        if len(rngs) == 1:
-            return super().select_rows(fitness, rngs)
-        n = fitness.shape[1]
-        spins = random_rows(rngs, (1, n))
-        safe = np.where(np.isfinite(fitness) & (fitness > 0), fitness, 0.0)
-        total = np.add.reduce(safe, axis=1, keepdims=True)
-        degenerate = (total[:, 0] == 0).nonzero()[0]
-        if degenerate.size:
-            # A row without positive finite fitness spins a uniform wheel.
-            safe[degenerate] = 1.0 / n
-            total[degenerate] = 1.0
-        wheel = (safe / total).cumsum(axis=1)
-        wheel /= wheel[:, -1:]
-        picks = np.empty(spins.shape, dtype=np.int64)
-        for row, (row_wheel, row_spins) in enumerate(zip(wheel, spins)):
-            picks[row] = row_wheel.searchsorted(row_spins, side="right")
-        return picks
 
 
 class TournamentSelection(SelectionOperator):

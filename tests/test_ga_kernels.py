@@ -40,7 +40,7 @@ from repro.ga import (
     decode_population,
     draw_swap_positions,
     evaluate_assignments,
-    rebalance_population,
+    rebalance_group,
     roulette_select,
     swap_positions_batch,
     validate_chromosome,
@@ -243,8 +243,8 @@ class TestVectorizedRebalance:
         assignments = decode_population(population, n_tasks, n_procs)
         before = evaluate_assignments(assignments, problem)
         completions = before.completions.copy()
-        rebalance_population(
-            population, assignments, completions, problem, n_rebalances, rng
+        rebalance_group(
+            population, assignments, completions, ProblemGroup([problem], pop), n_rebalances, [rng]
         )
         after = evaluate_assignments(assignments, problem)
         # error is monotone non-increasing for every individual
@@ -560,8 +560,8 @@ class TestKernelBitIdentity:
         expected = [population.copy(), assignments.copy(), completions.copy()]
         got_rng = np.random.default_rng(seed + 1)
         expected_rng = np.random.default_rng(seed + 1)
-        rebalance_population(
-            *got, problem, n_rebalances, got_rng, max_probes=max_probes
+        rebalance_group(
+            *got, ProblemGroup([problem], pop), n_rebalances, [got_rng], max_probes=max_probes
         )
         reference_rebalance(
             *expected, problem, n_rebalances, expected_rng, max_probes
