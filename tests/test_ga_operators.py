@@ -91,6 +91,24 @@ class TestSelectionOperators:
             atol=0.05,
         )
 
+    @pytest.mark.parametrize("name", ["roulette", "tournament", "rank"])
+    @pytest.mark.parametrize("n_problems", [1, 3])
+    def test_select_rows_selects_each_row_like_select(self, name, n_problems):
+        """Stacked rows draw what ``select`` draws per row, as stacked row
+        indices, degenerate rows (all zero, non-finite) included."""
+        fitness = np.array(
+            [[0.5, 1.5, 3.0, 0.25], [0.0, 0.0, 0.0, 0.0], [np.inf, np.nan, -1.0, 2.0]]
+        )[:n_problems]
+        operator = selection_from_name(name)
+        got = operator.select_rows(
+            fitness, [np.random.default_rng(seed) for seed in range(n_problems)]
+        )
+        expected = [
+            operator.select(row, 4, rng=np.random.default_rng(seed)) + 4 * seed
+            for seed, row in enumerate(fitness)
+        ]
+        assert np.array_equal(got, np.concatenate(expected))
+
     def test_factory(self):
         assert isinstance(selection_from_name("roulette"), RouletteWheelSelection)
         assert isinstance(selection_from_name("tournament"), TournamentSelection)
