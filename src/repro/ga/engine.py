@@ -337,7 +337,7 @@ def _evolve_group(runs: Sequence[_Run]) -> List[GAResult]:
     def keep_best(result) -> None:
         by_run = result.makespans.reshape(n_runs, pop)
         # Strictly better only, so ties keep the earlier individual.
-        better = (by_run.min(axis=1) < best_makespan).nonzero()[0]
+        better = (np.minimum.reduce(by_run, axis=1) < best_makespan).nonzero()[0]
         if better.size:
             rows = row_starts[better] + by_run[better].argmin(axis=1)
             best_makespan[better] = result.makespans[rows]

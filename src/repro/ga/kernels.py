@@ -324,7 +324,7 @@ def rebalance_group(
     # Flat index of each (row, slot) trial row's first element in the
     # (pop·slots, M) trial matrix, and the ψ of each trial row.
     trial_starts = np.arange(0, pop * slots * n_procs, n_procs).reshape(pop, slots)
-    trial_psi = np.repeat(psi, slots, axis=0) if np.ndim(psi) else psi
+    trial_psi = np.repeat(psi, slots, axis=0) if stacked else psi
 
     errors = np.sqrt(((completions - psi) ** 2).sum(axis=1))
     for _ in range(n_rebalances):
