@@ -85,9 +85,8 @@ class SelectionOperator(ABC):
         n = fitness.shape[1]
         if len(rngs) == 1:
             return self.select(fitness[0], n, rng=rngs[0])
-        return np.concatenate(
-            [self.select(row, n, rng=rng) + k * n for k, (row, rng) in enumerate(zip(fitness, rngs))]
-        )
+        parents = [self.select(row, n, rng=rng) for row, rng in zip(fitness, rngs)]
+        return np.concatenate([rows + k * n for k, rows in enumerate(parents)])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
