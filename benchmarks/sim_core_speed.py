@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Benchmark: event-driven engine vs batched static replay, in sims/second.
+"""Benchmark: event loop vs batched static replay, in sims/second.
 
-Times the same seeded static simulation on both simulation engines (the
-fast path, :mod:`repro.sim.fastpath`'s batched static replay, is what every
-static run takes; the discrete-event engine is forced by patching
-``uses_fast_path`` on the simulation instance, the seam the parity tests
-use) and reports simulations/second per engine, the fast/event speedup,
-and the event engine's events/second.  Before any timing it asserts the two
-backends are *bit-identical* on makespan, efficiency, response times and the
-full execution trace — the replay is only a win because it changes nothing.
+Times the same seeded static simulation on both simulation loops (the fast
+path, :mod:`repro.sim.fastpath`'s batched static replay, is what every
+static run takes; the event loop, :func:`repro.sim.engine.run_events`, is
+forced by patching ``uses_fast_path`` on the simulation instance, the seam
+the parity tests use) and reports simulations/second per loop, the
+fast/event speedup, and the event loop's events/second.  Before any timing
+it asserts the two loops are *bit-identical* on makespan, efficiency,
+response times and the full execution trace — the replay is only a win
+because it changes nothing.
 
 Each scale times three cells of the paper's evaluation:
 
@@ -17,7 +18,7 @@ Each scale times three cells of the paper's evaluation:
   and the replay's live merge phase is exercised;
 * ``replay`` — one scheduling wave over the whole workload (batch size =
   task count): the pure static-replay shape the fast backend batches
-  end-to-end, and the number the ≥3x target applies to;
+  end-to-end;
 * ``immediate`` — the EF immediate-mode baseline (one policy invocation per
   task), the scheduling-bound worst case for backend speedups.
 
@@ -31,9 +32,10 @@ Writes a schema-v2 BENCH record (the default target is the committed one)::
 
 Regression gating happens centrally via ``repro scorecard check``: every
 cell's speedup row carries a hard floor of 1.0 (the fast backend must never
-lose to the event engine), the ``replay`` rows add a 30 % trajectory
-tolerance, and the paper-scale ``replay`` row keeps the 3x absolute floor
-the sim-core work targets.
+lose to the event loop).  The speedups are ratios against the event loop,
+so they move whenever either loop does; the fast path's own throughput is
+measured end to end by the ``heuristics_paper`` workload of
+``benchmarks/e2e`` (300 fast-path simulations).
 """
 
 from __future__ import annotations
@@ -55,10 +57,6 @@ from repro.workloads.generator import generate_workload
 from repro.workloads.suites import workload_by_name
 
 DEFAULT_RECORD = os.path.join(os.path.dirname(__file__), "BENCH_sim_core.json")
-#: Minimum fast/event speedup of the ``replay`` cell at paper scale.
-PAPER_REPLAY_FLOOR = 3.0
-#: Allowed fractional ``replay`` speedup regression below the trajectory.
-REPLAY_TOLERANCE = 0.3
 
 
 @dataclass(frozen=True)
@@ -155,16 +153,19 @@ def assert_backend_parity(scale: SimScale, seed: int) -> None:
 
 
 def measure_cell(scale: SimScale, scheduler_name: str, batch_size: int, seed: int, repeats: int):
-    """Best-of-*repeats* sims/sec per backend plus event-engine events/sec."""
-    best: Dict[str, float] = {}
+    """Best-of-*repeats* sims/sec per backend plus the event loop's events/sec.
+
+    The two backends' runs alternate, and each goes first in every other
+    round, so a drift in machine speed during the measurement favours
+    neither side of the speedup.
+    """
+    best = {"event": float("inf"), "fast": float("inf")}
     events = 0
-    for backend in ("event", "fast"):
-        fastest = float("inf")
-        for _ in range(repeats):
+    for round_ in range(repeats):
+        for backend in ("event", "fast") if round_ % 2 == 0 else ("fast", "event"):
             result, elapsed = run_once(scale, scheduler_name, batch_size, backend, seed)
-            fastest = min(fastest, elapsed)
+            best[backend] = min(best[backend], elapsed)
             events = result.events_processed
-        best[backend] = fastest
     return {
         "scheduler": scheduler_name,
         "batch_size": batch_size,
@@ -200,21 +201,8 @@ def run_record(args: argparse.Namespace) -> int:
     rows: List[Dict[str, object]] = []
     for name in names:
         for cell, data in detail[name]["cells"].items():
-            floor = 1.0
-            tolerance = None
-            if cell == "replay":
-                tolerance = REPLAY_TOLERANCE
-                if name == "paper":
-                    floor = PAPER_REPLAY_FLOOR
             rows.append(
-                bench_row(
-                    f"{cell}_speedup",
-                    data["speedup"],
-                    "x",
-                    scale=name,
-                    tolerance=tolerance,
-                    floor=floor,
-                )
+                bench_row(f"{cell}_speedup", data["speedup"], "x", scale=name, floor=1.0)
             )
         rows.append(
             bench_row(
@@ -244,7 +232,7 @@ def parse_args() -> argparse.Namespace:
     )
     parser.add_argument("--seed", type=int, default=42, help="master random seed")
     parser.add_argument(
-        "--repeats", type=int, default=3, help="timing repeats; the best is kept"
+        "--repeats", type=int, default=5, help="timing repeats; the best is kept"
     )
     parser.add_argument("--output", default=None, help="write the BENCH json here")
     return parser.parse_args()

@@ -1,13 +1,10 @@
-"""Event types of the discrete-event simulation."""
+"""Event kinds of the discrete-event simulation."""
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, List, Optional
 
-from ..util.errors import SimulationError
-
-__all__ = ["EventKind", "Event", "KIND_CODES", "CODED_KINDS"]
+__all__ = ["EventKind"]
 
 
 class EventKind(enum.Enum):
@@ -35,78 +32,3 @@ class EventKind(enum.Enum):
     WORKER_JOIN = "worker_join"
     #: A burst of extra tasks arrives on top of the base workload.
     LOAD_SPIKE = "load_spike"
-
-
-#: Dense integer code of each kind, used by the engine's array-backed heap
-#: records and its list-indexed handler table (indexing a list by int is
-#: substantially cheaper than hashing an enum member per event).
-KIND_CODES: Dict[EventKind, int] = {kind: code for code, kind in enumerate(EventKind)}
-#: Inverse mapping: ``CODED_KINDS[code]`` is the :class:`EventKind` member.
-CODED_KINDS: List[EventKind] = list(EventKind)
-
-
-class Event:
-    """A single scheduled occurrence in simulated time.
-
-    Events order by ``(time, seq)`` so simultaneous events retain their
-    insertion order, which keeps the simulation deterministic.  Sequence
-    numbers are owned by the :class:`~repro.sim.engine.DiscreteEventEngine`
-    that created the event (one counter per engine), so tie-break ordering
-    never depends on other simulations run earlier in the same process.
-
-    The class is ``__slots__``-based (no per-instance ``__dict__``) because
-    one instance is allocated per scheduled event on the simulation hot path.
-    """
-
-    __slots__ = ("time", "seq", "kind", "data")
-
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        kind: EventKind,
-        data: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.kind = kind
-        self.data: Dict[str, Any] = {} if data is None else data
-
-    @classmethod
-    def make(cls, time: float, kind: EventKind, *, seq: int = 0, **data: Any) -> "Event":
-        """Create an event at *time* with the given tie-break sequence number.
-
-        Callers that need deterministic ordering of simultaneous events (the
-        engine does) must pass monotonically increasing *seq* values; ad-hoc
-        callers (tests, tools) may rely on the default of 0.
-        """
-        if time < 0:
-            raise SimulationError(f"event time must be >= 0, got {time}")
-        return cls(float(time), int(seq), kind, data)
-
-    # -- ordering / equality (by time then sequence, as before) -------------------
-    def _key(self):
-        return (self.time, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "Event") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "Event") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "Event") -> bool:
-        return self._key() >= other._key()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash((self.time, self.seq))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Event(t={self.time:.4g}, kind={self.kind.value}, data={self.data})"

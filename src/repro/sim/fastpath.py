@@ -1,10 +1,11 @@
 """Batched static replay: the simulation fast path.
 
-:func:`run_static_replay` produces *bit-identical* results to pumping the
+:func:`run_static_replay` produces *bit-identical* results to running the
 same :class:`~repro.sim.simulation.DistributedSystemSimulation` through the
-discrete-event engine, for simulations without cluster dynamics (no
-failures/recoveries/joins/load spikes — the whole figure suite and every
-steady-state scenario).  Each ``INVOKE_SCHEDULER`` follow-up routes through
+event loop (:func:`~repro.sim.engine.run_events`), for simulations without
+cluster dynamics (no failures/recoveries/joins/load spikes — the whole
+figure suite and every steady-state scenario).  Each ``INVOKE_SCHEDULER``
+follow-up routes through
 :meth:`Master.schedule_all_available`, which — under the vectorized policy
 backend — places a whole arrival wave of an immediate-mode policy with one
 kernel invocation instead of one ``schedule()`` call, context build and
@@ -46,12 +47,14 @@ times:
    skipping all dead bookkeeping.
 
 RNG contract: the replay consumes the network stream draw-for-draw in the
-engine's dispatch order.  Zero-mean links never draw (``sample_cost`` short
-circuits) and zero-variance links draw a value that is exactly the mean, in
-both backends.  The only divergence is the *final stream position*: block
-pre-drawing can leave unused draws, and the all-deterministic drain elides
-draws whose values cannot affect any result.  The stream is private to
-communication sampling, so no result can observe the difference.
+event loop's dispatch order, through the sampler both loops share
+(:func:`_sample_comm`, a replica of :meth:`CommLink.sample_cost`).  Zero-mean
+links never draw (``sample_cost`` short circuits) and zero-variance links
+draw a value that is exactly the mean.  The only divergence from
+``sample_cost`` is the *final stream position*: block pre-drawing can leave
+unused draws, and the all-deterministic drain elides draws whose values
+cannot affect any result.  The stream is private to communication sampling,
+so no result can observe the difference.
 """
 
 from __future__ import annotations
@@ -64,12 +67,11 @@ from typing import TYPE_CHECKING, List, Tuple
 import numpy as np
 
 from ..util.errors import SimulationError
-from .engine import budget_error
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .simulation import DistributedSystemSimulation
 
-__all__ = ["is_static", "run_static_replay"]
+__all__ = ["budget_error", "is_static", "run_static_replay"]
 
 #: FIFO entry codes for the same-time follow-up queue.
 _INVOKE = 0
@@ -80,6 +82,14 @@ _NEVER_DRAWS = 0  # zero mean: cost 0.0, no stream consumption
 _DRAWS_CONSTANT = 1  # zero variance: cost == mean exactly, one draw consumed
 _DRAWS_NORMAL = 2  # constant condition: mean + std * z
 _DRAWS_VARYING = 3  # time-varying condition: resolve the mean per dispatch
+
+
+def budget_error(max_events: int) -> SimulationError:
+    """The event-storm error both simulation loops raise identically."""
+    return SimulationError(
+        f"event budget of {max_events} exceeded; "
+        "the simulation is likely stuck in an event loop"
+    )
 
 
 class _NormalBlocks:
@@ -195,14 +205,14 @@ def run_static_replay(sim: "DistributedSystemSimulation") -> Tuple[float, int]:
     """Run *sim* to completion on the fast path.
 
     Returns ``(end_time, events_processed)`` where both numbers equal what
-    :meth:`DiscreteEventEngine.run` would report for the same simulation.
-    Every result-visible state — the trace, queue trajectory, worker
-    bookkeeping, master queues/pending loads and all counters — is mutated
-    exactly as the event-driven handlers would mutate it.  The one
+    :func:`~repro.sim.engine.run_events` would report for the same
+    simulation.  Every result-visible state — the trace, queue trajectory,
+    worker bookkeeping, master queues/pending loads and all counters — is
+    mutated exactly as the event loop's handlers would mutate it.  The one
     intentional exception: once the terminal drain starts, the master's
     smoothed rate/comm estimators and the policy's ``observe_*`` hooks are
     no longer fed (no scheduling decision can ever read them again), so
-    their *post-run* internal state differs from the event backend's.
+    their *post-run* internal state differs from the event loop's.
     """
     master = sim.master
     workers = sim.workers
@@ -438,7 +448,7 @@ def _drain_sequential(
     Needed whenever per-dispatch communication costs (or rates) are
     stochastic: each cost is one draw from the shared network stream, taken
     in global dispatch order, so workers must interleave exactly as the
-    event engine would.  ``check_budget`` is only set when the caller could
+    event loop would.  ``check_budget`` is only set when the caller could
     not prove up front that the event budget covers the whole drain.
     """
     master = sim.master

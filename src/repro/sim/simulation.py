@@ -1,9 +1,11 @@
 """The end-to-end simulation of a scheduler driving a heterogeneous system.
 
 :func:`simulate_schedule` wires together the master (scheduling policy plus
-task queues), one worker per processor, the network model, and the
-discrete-event engine, and returns the paper's metrics (makespan and
-efficiency) together with the full execution trace.
+task queues), one worker per processor, the network model, and the event
+loop (:func:`~repro.sim.engine.run_events`, or the static replay of
+:mod:`repro.sim.fastpath` for runs without dynamics), and returns the
+paper's metrics (makespan and efficiency) together with the full execution
+trace.
 
 The dispatch protocol follows Sect. 3 of the paper:
 
@@ -21,7 +23,7 @@ The dispatch protocol follows Sect. 3 of the paper:
 Cluster dynamics (worker failure/recovery/join, load spikes) are injected by
 an optional *dynamics timeline* (see :mod:`repro.scenarios.dynamics`).  The
 simulation only requires the timeline to expose ``initially_offline()`` and
-``sim_events(next_task_id, rng)``; the handlers below enforce the
+``sim_events(next_task_id, rng)``; the event loop's handlers enforce the
 conservation invariant that every arrived task completes exactly once:
 
 * a failing worker's in-flight task and master-side queue are re-queued at
@@ -34,9 +36,8 @@ conservation invariant that every arrived task completes exactly once:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 
 from ..cluster.cluster import Cluster
@@ -44,10 +45,10 @@ from ..schedulers.base import Scheduler
 from ..telemetry import get_session
 from ..util.errors import SimulationError
 from ..util.rng import RNGLike, spawn_rngs
-from ..workloads.task import Task, TaskSet
+from ..workloads.task import TaskSet
 from ..util.buffers import RecordBuffer
-from .engine import DiscreteEventEngine
-from .events import Event, EventKind
+from .engine import run_events
+from .events import EventKind
 from .fastpath import is_static, run_static_replay
 from .master import Master
 from .metrics import DynamicsStats, SimulationMetrics, compute_metrics
@@ -116,7 +117,7 @@ class SimulationResult:
     #: Extra tasks injected by LOAD_SPIKE dynamics (0 for static runs);
     #: ``n_tasks`` counts the base workload only.
     tasks_injected: int = 0
-    #: Events the engine processed end-to-end (throughput benchmarks use this).
+    #: Events the simulation processed end-to-end (throughput benchmarks use this).
     events_processed: int = 0
     #: Wall-clock seconds per simulation phase (``scheduling`` / ``dispatch``
     #: / ``drain``), populated only when
@@ -154,6 +155,10 @@ class DistributedSystemSimulation:
         self.cluster = cluster
         self.tasks = tasks
         self.config = config or SimulationConfig()
+        if self.config.max_events <= 0:
+            raise SimulationError(
+                f"max_events must be positive, got {self.config.max_events}"
+            )
         # The third child stream feeds the dynamics timeline (e.g. load-spike
         # task sizes).  SeedSequence children are prefix-stable, so streams 0
         # and 1 are identical to the historical two-stream spawn and static
@@ -163,7 +168,6 @@ class DistributedSystemSimulation:
         self._dynamics_rng = dynamics_rng
         self._dynamics = dynamics
 
-        self.engine = DiscreteEventEngine(max_events=self.config.max_events)
         self.master = Master(
             scheduler,
             cluster.n_processors,
@@ -175,8 +179,11 @@ class DistributedSystemSimulation:
         self.workers = [WorkerState(processor=proc) for proc in cluster.processors]
         self.trace = ExecutionTrace(cluster.n_processors)
         self._completed = 0
-        self._scheduler_invocation_pending = False
-        self._completion_events: Dict[int, Event] = {}
+        #: Simulated time of the last processed event; it persists across
+        #: :meth:`run` calls, so a second run fails loudly.
+        self._clock = 0.0
+        #: Completions cancelled by a failure and skipped by the event loop.
+        self._skipped_completions = 0
         self._queue_samples = RecordBuffer(
             (("time", float), ("unscheduled", int), ("queued", int))
         )
@@ -202,208 +209,19 @@ class DistributedSystemSimulation:
                 self.workers[proc].online = False
                 self.master.mark_offline(proc)
 
-    def _register_handlers(self) -> None:
-        """Register the event handlers (bound methods of this simulation).
-
-        Only for the length of an event-driven run: while registered, the
-        engine's handler table and this simulation reference each other, and
-        a finished run must be freed by reference counting, not left as
-        cyclic garbage.
-        """
-        engine = self.engine
-        engine.register(EventKind.TASK_ARRIVAL, self._on_task_arrival)
-        engine.register(
-            EventKind.INVOKE_SCHEDULER, self._phased("scheduling", self._on_invoke_scheduler)
-        )
-        engine.register(EventKind.WORKER_FETCH, self._phased("dispatch", self._on_worker_fetch))
-        engine.register(EventKind.TASK_COMPLETION, self._phased("drain", self._on_task_completion))
-        if self._dynamics is not None:
-            engine.register(EventKind.WORKER_FAILURE, self._on_worker_failure)
-            engine.register(EventKind.WORKER_RECOVERY, self._on_worker_recovery)
-            engine.register(EventKind.WORKER_JOIN, self._on_worker_join)
-            engine.register(EventKind.LOAD_SPIKE, self._on_load_spike)
-
-    def _phased(
-        self, phase: str, handler: Callable[[Event], None]
-    ) -> Callable[[Event], None]:
-        """Wrap *handler* to attribute its wall time to *phase*.
-
-        Identity when phase timing is off, so the hot event loop pays no
-        clock reads unless the attribution was asked for.
-        """
-        if not self._phase_timing:
-            return handler
-        seconds = self._phase_seconds
-
-        def timed(event: Event) -> None:
-            start = time.perf_counter()
-            try:
-                handler(event)
-            finally:
-                seconds[phase] += time.perf_counter() - start
-
-        return timed
-
-    # -- event handlers ---------------------------------------------------------------
-    def _on_task_arrival(self, event: Event) -> None:
-        task: Task = event.data["task"]
-        self.master.task_arrived(task)
-        self._request_scheduling(event.time)
-
-    def _request_scheduling(self, time: float) -> None:
-        if not self._scheduler_invocation_pending:
-            self._scheduler_invocation_pending = True
-            self.engine.schedule(time, EventKind.INVOKE_SCHEDULER)
-
     def _sample_queues(self, time: float) -> None:
         self._queue_samples.append(time, self.master.n_unscheduled, self.master.n_queued_total)
-
-    def _on_invoke_scheduler(self, event: Event) -> None:
-        self._scheduler_invocation_pending = False
-        self._sample_queues(event.time)
-        assigned = self.master.schedule_all_available(event.time)
-        if assigned == 0:
-            return
-        # Wake every idle online worker whose queue now has work.
-        for worker in self.workers:
-            if (
-                worker.online
-                and not worker.is_busy
-                and self.master.queue_length(worker.proc_id) > 0
-            ):
-                self.engine.schedule(event.time, EventKind.WORKER_FETCH, proc=worker.proc_id)
-
-    def _on_worker_fetch(self, event: Event) -> None:
-        proc = int(event.data["proc"])
-        worker = self.workers[proc]
-        if not worker.online:
-            return  # stale wake-up for a worker that failed in the meantime
-        if worker.is_busy:
-            return  # stale wake-up: the worker already fetched something
-        task = self.master.pop_task_for(proc)
-        if task is None:
-            # Queue ran dry: ask for more work if any remains unscheduled.
-            if self.master.has_unscheduled():
-                self._request_scheduling(event.time)
-            return
-        comm_cost = self.cluster.network.sample_cost(proc, self._network_rng, time=event.time)
-        completion_time = worker.start_task(task, event.time, comm_cost)
-        self.master.observe_dispatch(proc, comm_cost, event.time)
-        self._completion_events[proc] = self.engine.schedule(
-            completion_time,
-            EventKind.TASK_COMPLETION,
-            proc=proc,
-            task=task,
-            dispatch_time=event.time,
-            comm_cost=comm_cost,
-        )
-
-    def _on_task_completion(self, event: Event) -> None:
-        proc = int(event.data["proc"])
-        task: Task = event.data["task"]
-        dispatch_time: float = event.data["dispatch_time"]
-        comm_cost: float = event.data["comm_cost"]
-        worker = self.workers[proc]
-        worker.finish_task(event.time)
-        self._completion_events.pop(proc, None)
-
-        exec_start = dispatch_time + comm_cost
-        exec_seconds = event.time - exec_start
-        worker.record_execution(exec_seconds)
-        self.master.observe_completion(proc, task, exec_seconds, event.time)
-        self.trace.add_record(
-            task.task_id,
-            proc,
-            task.size_mflops,
-            task.arrival_time,
-            self.master.assigned_time_of(task.task_id),
-            dispatch_time,
-            exec_start,
-            event.time,
-        )
-        self._completed += 1
-        # Fetch the next task (or trigger another scheduling round).
-        self.engine.schedule(event.time, EventKind.WORKER_FETCH, proc=proc)
-
-    # -- dynamics handlers ------------------------------------------------------------
-    def _on_worker_failure(self, event: Event) -> None:
-        proc = int(event.data["proc"])
-        worker = self.workers[proc]
-        if not worker.online:
-            return  # duplicate failure of an already offline worker: no-op
-        inflight = worker.fail(event.time)
-        pending = self._completion_events.pop(proc, None)
-        if pending is not None:
-            self.engine.cancel(pending)
-        requeued = self.master.mark_offline(proc, inflight)
-        self._counts["failures"] += 1
-        self._sample_queues(event.time)
-        if requeued and self.master.online_processors():
-            self._request_scheduling(event.time)
-
-    def _come_online(self, proc: int, time: float) -> None:
-        worker = self.workers[proc]
-        if worker.online:
-            return  # duplicate recovery/join: no-op
-        worker.come_online(time)
-        self.master.mark_online(proc)
-        # Membership changed: pull back every undispatched task and re-invoke
-        # the policy so it can spread the backlog over the new member (the
-        # per-processor queues live at the master precisely to allow this).
-        self.master.reclaim_undispatched()
-        self._sample_queues(time)
-        if self.master.has_unscheduled():
-            self._request_scheduling(time)
-
-    def _on_worker_recovery(self, event: Event) -> None:
-        proc = int(event.data["proc"])
-        if not self.workers[proc].online:
-            self._counts["recoveries"] += 1
-        self._come_online(proc, event.time)
-
-    def _on_worker_join(self, event: Event) -> None:
-        proc = int(event.data["proc"])
-        if not self.workers[proc].online:
-            self._counts["joins"] += 1
-        self._come_online(proc, event.time)
-
-    def _on_load_spike(self, event: Event) -> None:
-        tasks: Sequence[Task] = event.data["tasks"]
-        # Counted here (not at schedule time) so a time_horizon that cuts the
-        # run short never claims injections that were never delivered.
-        self._injected += len(tasks)
-        for task in tasks:
-            self.master.task_arrived(task)
-        self._sample_queues(event.time)
-        if tasks:
-            self._request_scheduling(event.time)
 
     # -- run -------------------------------------------------------------------------------
     def uses_fast_path(self) -> bool:
         """Whether :meth:`run` will take the static-replay fast path.
 
         Decided by the input alone (:func:`~repro.sim.fastpath.is_static`):
-        runs with cluster dynamics pump the event engine.  Tests patch this
-        method to ``False`` to hold the fast path to the event engine's bits.
+        runs with cluster dynamics go through the event loop
+        (:func:`~repro.sim.engine.run_events`).  Tests patch this method to
+        ``False`` to hold the fast path to the event loop's bits.
         """
         return is_static(self)
-
-    def _run_event_driven(self) -> Tuple[float, int]:
-        """Pump the discrete-event engine; returns (end time, events processed)."""
-        self._register_handlers()
-        try:
-            for task in self.tasks:
-                self.engine.schedule(task.arrival_time, EventKind.TASK_ARRIVAL, task=task)
-            if self._dynamics is not None:
-                next_task_id = max(task.task_id for task in self.tasks) + 1
-                for time, kind, data in self._dynamics.sim_events(
-                    next_task_id=next_task_id, rng=self._dynamics_rng
-                ):
-                    self.engine.schedule(time, kind, **data)
-            end_time = self.engine.run(until=self.config.time_horizon)
-        finally:
-            self.engine.unregister_all()
-        return end_time, self.engine.processed_events
 
     def run(self) -> SimulationResult:
         """Execute the simulation to completion and return metrics plus trace.
@@ -411,10 +229,10 @@ class DistributedSystemSimulation:
         With an active telemetry session the run is wrapped in a
         ``sim:run`` span with one ``phase:*`` child per accumulated phase,
         and the run's volume counters/histograms (events processed,
-        tombstones skipped, kernel batch sizes, queue depths) land in the
-        session's metrics registry.  All of it reads clocks and counters
-        only — never an RNG stream — so the result is bit-identical to an
-        unobserved run.
+        cancelled completions skipped as ``sim.tombstones_skipped``, kernel
+        batch sizes, queue depths) land in the session's metrics registry.
+        All of it reads clocks and counters only — never an RNG stream — so
+        the result is bit-identical to an unobserved run.
         """
         session = get_session()
         if session is None:
@@ -432,9 +250,7 @@ class DistributedSystemSimulation:
             metrics = session.metrics
             metrics.counter("sim.runs").inc()
             metrics.counter("sim.events_processed").inc(result.events_processed)
-            metrics.counter("sim.tombstones_skipped").inc(
-                self.engine.queue.tombstones_skipped
-            )
+            metrics.counter("sim.tombstones_skipped").inc(self._skipped_completions)
             metrics.counter("sim.scheduler_invocations").inc(
                 result.scheduler_invocations
             )
@@ -451,14 +267,14 @@ class DistributedSystemSimulation:
         if self.uses_fast_path():
             end_time, events_processed = run_static_replay(self)
         else:
-            end_time, events_processed = self._run_event_driven()
+            end_time, events_processed = run_events(self)
         return self._finalise(end_time, events_processed)
 
     def _finalise(self, end_time: float, events_processed: int) -> SimulationResult:
         """Turn the post-run mutable state into a :class:`SimulationResult`.
 
-        Shared by both engines: the event engine and the static replay leave
-        the same result-visible state behind and finish through this one path.
+        Shared by both loops: the event loop and the static replay leave the
+        same result-visible state behind and finish through this one path.
         """
         expected = len(self.tasks) + self._injected
         if self.config.time_horizon is None and self._completed != expected:

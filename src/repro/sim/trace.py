@@ -2,8 +2,8 @@
 
 The trace is stored *columnar*: one growable numpy array per field (see
 :class:`~repro.util.buffers.RecordBuffer`) rather than one Python object per
-task.  The simulator appends plain scalars on its hot path through
-:meth:`ExecutionTrace.add_record`; :class:`TaskRecord` objects are
+task.  The simulator appends whole record columns at once through
+:meth:`ExecutionTrace.extend_records`; :class:`TaskRecord` objects are
 materialised lazily only when a caller actually asks for them, and the
 aggregate queries (busy/comm seconds, per-processor counts) are vectorised
 over the columns.
@@ -74,7 +74,7 @@ class TaskRecord:
         return self.exec_end - self.arrival_time
 
 
-#: Column layout of the trace buffer (append order of ``add_record``).
+#: Column layout of the trace buffer (argument order of ``extend_records``).
 _FIELDS = (
     ("task_id", np.int64),
     ("proc_id", np.int64),
@@ -113,35 +113,6 @@ class ExecutionTrace:
             record.exec_end,
         )
 
-    def add_record(
-        self,
-        task_id: int,
-        proc_id: int,
-        size_mflops: float,
-        arrival_time: float,
-        assigned_time: float,
-        dispatch_time: float,
-        exec_start: float,
-        exec_end: float,
-    ) -> None:
-        """Append one record as plain scalars (simulator hot path).
-
-        Skips both :class:`TaskRecord` object construction and its
-        consistency validation; the simulator produces records whose times
-        are consistent by construction, and the validated :meth:`add` remains
-        for external callers.
-        """
-        self._buffer.append(
-            task_id,
-            proc_id,
-            size_mflops,
-            arrival_time,
-            assigned_time,
-            dispatch_time,
-            exec_start,
-            exec_end,
-        )
-
     def extend_records(
         self,
         task_ids,
@@ -153,7 +124,7 @@ class ExecutionTrace:
         starts,
         ends,
     ) -> None:
-        """Bulk-append equal-length record columns (simulator drain path)."""
+        """Bulk-append equal-length record columns (how the simulator records)."""
         self._buffer.extend(
             task_id=np.asarray(task_ids, dtype=np.int64),
             proc_id=np.asarray(proc_ids, dtype=np.int64),
@@ -178,7 +149,7 @@ class ExecutionTrace:
         )
         record = TaskRecord.__new__(TaskRecord)
         # The columns were either validated on the way in (add) or produced
-        # by the simulator with consistent times (add_record), so rebuild the
+        # by the simulator with consistent times (extend_records), so rebuild the
         # frozen dataclass without re-running __post_init__.
         object.__setattr__(record, "task_id", task_id)
         object.__setattr__(record, "proc_id", proc_id)

@@ -1,239 +1,313 @@
-"""Tests for the event queue, discrete-event engine, traces and metrics."""
+"""Tests for the event loop (on real simulation runs), traces and metrics."""
 
+import hashlib
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from repro.cluster import homogeneous_cluster
+from repro.experiments.config import get_scale
+from repro.scenarios import DynamicsTimeline, LoadSpike, WorkerFailure, WorkerRecovery
+from repro.scenarios.runner import resolve_scenario_specs
+from repro.schedulers import EarliestFirstScheduler, RoundRobinScheduler
+from repro.schedulers.registry import make_scheduler
 from repro.sim import (
-    DiscreteEventEngine,
-    Event,
+    DistributedSystemSimulation,
     EventKind,
-    EventQueue,
     ExecutionTrace,
+    SimulationConfig,
     TaskRecord,
+    WorkerState,
     compute_metrics,
 )
+from repro.telemetry import telemetry_session
 from repro.util.errors import SimulationError
+from repro.workloads import ConstantSizes, Task, TaskSet
+from repro.workloads.generator import generate_workload
+
+#: The library scenarios whose timelines fail, recover, join or spike.
+DYNAMIC_SCENARIOS = (
+    "flash-crowd",
+    "failure-storm",
+    "rolling-restart",
+    "elastic-scale-out",
+    "heavy-tail-mix",
+)
+#: Each dynamic scenario on the event loop, and a static one on both paths.
+SCENARIO_PATHS = [(name, "event") for name in DYNAMIC_SCENARIOS] + [
+    ("steady-state", "event"),
+    ("steady-state", "fast"),
+]
+TRACE_COLUMNS = (
+    "task_id",
+    "proc_id",
+    "size_mflops",
+    "arrival_time",
+    "assigned_time",
+    "dispatch_time",
+    "exec_start",
+    "exec_end",
+)
 
 
-class TestEventQueue:
-    def test_orders_by_time(self):
-        q = EventQueue()
-        q.push(Event.make(5.0, EventKind.TASK_ARRIVAL))
-        q.push(Event.make(1.0, EventKind.TASK_ARRIVAL))
-        q.push(Event.make(3.0, EventKind.TASK_ARRIVAL))
-        assert [q.pop().time for _ in range(3)] == [1.0, 3.0, 5.0]
-
-    def test_ties_broken_by_sequence_number(self):
-        q = EventQueue()
-        first = Event.make(1.0, EventKind.WORKER_FETCH, seq=0, proc=0)
-        second = Event.make(1.0, EventKind.WORKER_FETCH, seq=1, proc=1)
-        q.push(second)
-        q.push(first)
-        # sequence numbers, not push order, decide: first was created first
-        assert q.pop().data["proc"] == 0
-
-    def test_peek_does_not_remove(self):
-        q = EventQueue()
-        q.push(Event.make(1.0, EventKind.TASK_ARRIVAL))
-        assert q.peek().time == 1.0
-        assert len(q) == 1
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(SimulationError):
-            EventQueue().pop()
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(SimulationError):
-            Event.make(-1.0, EventKind.TASK_ARRIVAL)
+def on_path(sim, path):
+    """Force *sim* onto the event loop when *path* is ``"event"``."""
+    if path == "event":
+        sim.uses_fast_path = lambda: False
+    else:
+        assert sim.uses_fast_path()
+    return sim
 
 
-class TestDiscreteEventEngine:
-    def test_processes_in_time_order(self):
-        engine = DiscreteEventEngine()
-        seen = []
-        engine.register(EventKind.TASK_ARRIVAL, lambda e: seen.append(e.time))
-        engine.schedule(3.0, EventKind.TASK_ARRIVAL)
-        engine.schedule(1.0, EventKind.TASK_ARRIVAL)
-        end = engine.run()
-        assert seen == [1.0, 3.0]
-        assert end == 3.0
-        assert engine.processed_events == 2
-
-    def test_handlers_can_schedule_followups(self):
-        engine = DiscreteEventEngine()
-        seen = []
-
-        def on_arrival(event):
-            seen.append(("arrival", event.time))
-            engine.schedule(event.time + 2.0, EventKind.TASK_COMPLETION)
-
-        engine.register(EventKind.TASK_ARRIVAL, on_arrival)
-        engine.register(EventKind.TASK_COMPLETION, lambda e: seen.append(("done", e.time)))
-        engine.schedule(1.0, EventKind.TASK_ARRIVAL)
-        engine.run()
-        assert seen == [("arrival", 1.0), ("done", 3.0)]
-
-    def test_cannot_schedule_in_the_past(self):
-        engine = DiscreteEventEngine()
-        engine.register(EventKind.TASK_ARRIVAL, lambda e: None)
-        engine.schedule(5.0, EventKind.TASK_ARRIVAL)
-        engine.run()
-        with pytest.raises(SimulationError):
-            engine.schedule(1.0, EventKind.TASK_ARRIVAL)
-
-    def test_scheduling_without_handler_raises_immediately(self):
-        engine = DiscreteEventEngine()
-        with pytest.raises(SimulationError, match="no handler is registered"):
-            engine.schedule(1.0, EventKind.TASK_ARRIVAL)
-
-    def test_missing_handler_error_names_registered_kinds(self):
-        engine = DiscreteEventEngine()
-        engine.register(EventKind.TASK_ARRIVAL, lambda e: None)
-        with pytest.raises(SimulationError, match="task_arrival"):
-            engine.schedule(1.0, EventKind.WORKER_FAILURE)
-
-    def test_sequence_numbers_are_per_engine(self):
-        # Event seq counters must not leak across simulations in one process:
-        # a fresh engine always starts numbering at zero.
-        for _ in range(2):
-            engine = DiscreteEventEngine()
-            engine.register(EventKind.TASK_ARRIVAL, lambda e: None)
-            event = engine.schedule(1.0, EventKind.TASK_ARRIVAL)
-            assert event.seq == 0
-
-    def test_cancelled_events_are_skipped(self):
-        engine = DiscreteEventEngine()
-        seen = []
-        engine.register(EventKind.TASK_ARRIVAL, lambda e: seen.append(e.time))
-        keep = engine.schedule(1.0, EventKind.TASK_ARRIVAL)
-        drop = engine.schedule(2.0, EventKind.TASK_ARRIVAL)
-        engine.cancel(drop)
-        engine.run()
-        assert seen == [keep.time]
-        assert engine.processed_events == 1
-
-    def test_event_budget_guards_against_storms(self):
-        engine = DiscreteEventEngine(max_events=10)
-        engine.register(
-            EventKind.TASK_ARRIVAL,
-            lambda e: engine.schedule(e.time + 1.0, EventKind.TASK_ARRIVAL),
-        )
-        engine.schedule(0.0, EventKind.TASK_ARRIVAL)
-        with pytest.raises(SimulationError):
-            engine.run()
-
-    def test_until_horizon_stops_early(self):
-        engine = DiscreteEventEngine()
-        seen = []
-        engine.register(EventKind.TASK_ARRIVAL, lambda e: seen.append(e.time))
-        for t in (1.0, 2.0, 50.0):
-            engine.schedule(t, EventKind.TASK_ARRIVAL)
-        engine.run(until=10.0)
-        assert seen == [1.0, 2.0]
-
-
-class TestCancellation:
-    def test_peek_skips_cancelled_head(self):
-        # Regression: peek() must apply the same tombstone skipping as pop(),
-        # otherwise a cancelled head event masks the next live one.
-        engine = DiscreteEventEngine()
-        engine.register(EventKind.TASK_ARRIVAL, lambda e: None)
-        doomed = engine.schedule(1.0, EventKind.TASK_ARRIVAL)
-        live = engine.schedule(2.0, EventKind.TASK_ARRIVAL)
-        engine.cancel(doomed)
-        peeked = engine.queue.peek()
-        assert peeked.seq == live.seq
-        assert peeked.time == 2.0
-        assert engine.queue.pop().seq == live.seq
-
-    def test_cancel_then_peek_preserves_run_until_semantics(self):
-        # A cancelled event beyond the horizon must not stop the run early,
-        # and a cancelled event before it must not extend it.
-        engine = DiscreteEventEngine()
-        seen = []
-        engine.register(EventKind.TASK_ARRIVAL, lambda e: seen.append(e.time))
-        engine.schedule(1.0, EventKind.TASK_ARRIVAL)
-        doomed = engine.schedule(2.0, EventKind.TASK_ARRIVAL)
-        engine.schedule(3.0, EventKind.TASK_ARRIVAL)
-        engine.cancel(doomed)
-        engine.run(until=10.0)
-        assert seen == [1.0, 3.0]
-        assert engine.processed_events == 2
-
-    def test_len_and_bool_ignore_tombstones(self):
-        engine = DiscreteEventEngine()
-        engine.register(EventKind.TASK_ARRIVAL, lambda e: None)
-        only = engine.schedule(1.0, EventKind.TASK_ARRIVAL)
-        engine.cancel(only)
-        assert len(engine.queue) == 0
-        assert not engine.queue
-
-    def test_len_counts_out_non_head_tombstones(self):
-        engine = DiscreteEventEngine()
-        engine.register(EventKind.TASK_ARRIVAL, lambda e: None)
-        engine.schedule(1.0, EventKind.TASK_ARRIVAL)
-        doomed = engine.schedule(2.0, EventKind.TASK_ARRIVAL)
-        engine.cancel(doomed)
-        assert len(engine.queue) == 1  # the cancelled tail event is not live
-
-    def test_stale_cancel_is_harmless_and_pruned(self):
-        engine = DiscreteEventEngine()
-        seen = []
-        engine.register(EventKind.TASK_ARRIVAL, lambda e: seen.append(e.time))
-        done = engine.schedule(1.0, EventKind.TASK_ARRIVAL)
-        engine.run()
-        engine.cancel(done)  # already processed: must not affect anything
-        engine.cancel(done)
-        live = engine.schedule(2.0, EventKind.TASK_ARRIVAL)
-        assert len(engine.queue) == 1  # prunes the stale tombstone
-        assert engine.queue._tombstones == set()
-        assert engine.queue.pop().seq == live.seq
-
-    def test_cancel_all_leaves_empty_queue(self):
-        engine = DiscreteEventEngine()
-        engine.register(EventKind.TASK_ARRIVAL, lambda e: None)
-        events = [engine.schedule(float(t), EventKind.TASK_ARRIVAL) for t in range(5)]
-        for event in events:
-            engine.cancel(event)
-        assert engine.run() == 0.0
-        assert engine.processed_events == 0
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        ops=st.lists(
-            st.tuples(
-                st.floats(0.0, 100.0, allow_nan=False, width=32),
-                st.booleans(),  # cancel an (arbitrary) earlier event first?
-                st.integers(0, 10**6),
-            ),
-            min_size=1,
-            max_size=40,
-        )
+def scenario_sim(name, path="event", **config):
+    """A seeded smoke-scale LL simulation of library scenario *name*."""
+    (spec,) = resolve_scenario_specs([name], get_scale("smoke"))
+    rng = np.random.default_rng(0)
+    tasks = generate_workload(spec.workload, rng)
+    cluster = spec.build_cluster(rng)
+    sim = DistributedSystemSimulation(
+        make_scheduler("LL", n_processors=cluster.n_processors, rng=1),
+        cluster,
+        tasks,
+        config=SimulationConfig(**config),
+        dynamics=DynamicsTimeline(spec.dynamics),
+        rng=2,
     )
-    def test_property_order_deterministic_under_schedule_cancel(self, ops):
-        """Two engines fed the same interleaved schedule/cancel sequence
-        process exactly the same events in exactly the same order."""
+    return on_path(sim, path)
 
-        def drive(engine):
-            processed = []
-            engine.register(
-                EventKind.TASK_ARRIVAL, lambda e: processed.append((e.time, e.seq))
+
+def run_digest(sim, result):
+    """Digest of the trace, the result's counters and every worker's books."""
+    h = hashlib.sha256()
+    for name in TRACE_COLUMNS:
+        h.update(result.trace.column(name).tobytes())
+    h.update(
+        repr(
+            (
+                result.events_processed,
+                result.scheduler_invocations,
+                result.batch_sizes,
+                result.metrics.summary(),
+                result.metrics.dynamics.queue_length_trajectory,
+                [(w.busy_seconds, w.comm_seconds, w.downtime_seconds) for w in sim.workers],
             )
-            scheduled = []
-            for time, cancel_first, pick in ops:
-                if cancel_first and scheduled:
-                    engine.cancel(scheduled[pick % len(scheduled)])
-                scheduled.append(engine.schedule(time, EventKind.TASK_ARRIVAL))
-            engine.run()
-            return processed
+        ).encode()
+    )
+    return h.hexdigest()
 
-        first = drive(DiscreteEventEngine())
-        second = drive(DiscreteEventEngine())
-        assert first == second
-        # Processed events are in strict (time, seq) order and unique.
-        assert first == sorted(first)
-        assert len(set(first)) == len(first)
+
+def failover_sim(*, time_horizon=None):
+    """Worker 1 fails at t=5, mid-way through its task, and recovers at t=100.
+
+    Two identical workers (100 Mflop/s, no communication cost) and two tasks
+    at t=0 that run 10 s and 15 s.  EF puts task 0 on worker 0 and task 1 on
+    worker 1.  The failure re-queues task 1 behind task 0 on worker 0, so
+    worker 1's completion at t=15 is cancelled and task 1 ends at t=25.
+    Twelve events are handled: two arrivals, two scheduler invocations
+    (t=0, t=5), four fetches (two at t=0, one at t=10 and one at t=25), two
+    live completions (t=10, t=25), the failure and the recovery.
+    """
+    tasks = TaskSet(
+        [
+            Task(task_id=0, size_mflops=1000.0, arrival_time=0.0),
+            Task(task_id=1, size_mflops=1500.0, arrival_time=0.0),
+        ]
+    )
+    timeline = DynamicsTimeline(
+        [WorkerFailure(time=5.0, proc=1), WorkerRecovery(time=100.0, proc=1)]
+    )
+    return DistributedSystemSimulation(
+        EarliestFirstScheduler(),
+        homogeneous_cluster(2, rate_mflops=100.0, mean_comm_cost=0.0),
+        tasks,
+        config=SimulationConfig(time_horizon=time_horizon),
+        dynamics=timeline,
+        rng=0,
+    )
+
+
+def skipped_completions(sim):
+    """Run *sim* under telemetry; return its result and ``sim.tombstones_skipped``."""
+    with telemetry_session() as session:
+        result = sim.run()
+    counters = session.metrics.snapshot()["counters"]
+    return result, counters["sim.tombstones_skipped"]
+
+
+class TestEventOrder:
+    @pytest.mark.parametrize("scenario,path", SCENARIO_PATHS)
+    def test_events_are_handled_in_time_order(self, scenario, path):
+        result = scenario_sim(scenario, path).run()
+        # Completions are recorded as they are handled.
+        assert np.all(np.diff(result.trace.column("exec_end")) >= 0)
+        samples = [t for t, _, _ in result.metrics.dynamics.queue_length_trajectory]
+        assert samples == sorted(samples)
+
+    @pytest.mark.parametrize("path", ["event", "fast"])
+    def test_simultaneous_events_keep_their_scheduling_order(self, path):
+        # Nine equal tasks at t=0, listed out of id order, on three identical
+        # workers with no communication cost.  The arrivals tie and keep task
+        # order, so round robin deals them out in list order; the completions
+        # tie at t=1, 2 and 3 and pop in dispatch order, which is worker order.
+        order = [5, 2, 7, 0, 8, 1, 4, 6, 3]
+        tasks = TaskSet(
+            [Task(task_id=i, size_mflops=100.0, arrival_time=0.0) for i in order]
+        )
+        sim = DistributedSystemSimulation(
+            RoundRobinScheduler(),
+            homogeneous_cluster(3, rate_mflops=100.0, mean_comm_cost=0.0),
+            tasks,
+            rng=0,
+        )
+        result = on_path(sim, path).run()
+        assert result.trace.column("task_id").tolist() == order
+        assert result.trace.column("proc_id").tolist() == [0, 1, 2] * 3
+        assert result.trace.column("exec_end").tolist() == [1.0] * 3 + [2.0] * 3 + [3.0] * 3
+
+    def test_timeline_events_follow_arrivals_and_precede_runtime_events(self):
+        # A spike and a failure of worker 0 at the arrivals' own time pop
+        # after the four arrivals and before the scheduler invocation the
+        # arrivals asked for: each samples all six tasks unscheduled, and
+        # nothing is ever placed on worker 0 or re-queued from it.
+        tasks = TaskSet(
+            [Task(task_id=i, size_mflops=100.0, arrival_time=0.0) for i in range(4)]
+        )
+        timeline = DynamicsTimeline(
+            [
+                LoadSpike(time=0.0, n_tasks=2, sizes=ConstantSizes(100.0)),
+                WorkerFailure(time=0.0, proc=0),
+            ]
+        )
+        result = DistributedSystemSimulation(
+            EarliestFirstScheduler(),
+            homogeneous_cluster(3, rate_mflops=100.0, mean_comm_cost=0.0),
+            tasks,
+            dynamics=timeline,
+            rng=0,
+        ).run()
+        assert result.metrics.dynamics.queue_length_trajectory[:3] == ((0.0, 6, 0),) * 3
+        assert result.metrics.dynamics.tasks_rescheduled == 0
+        assert 0 not in result.trace.column("proc_id").tolist()
+        assert sorted(result.trace.column("task_id").tolist()) == list(range(6))
+
+
+class TestCancelledCompletions:
+    def test_a_failed_workers_completion_is_never_handled_or_counted(self):
+        result, skipped = skipped_completions(failover_sim())
+        assert skipped == 1
+        assert result.events_processed == 12
+        assert result.trace.column("task_id").tolist() == [0, 1]
+        assert result.trace.column("proc_id").tolist() == [0, 0]
+        assert result.trace.column("exec_end").tolist() == [10.0, 25.0]
+        assert result.metrics.dynamics.worker_downtime_seconds == 95.0
+
+    @pytest.mark.parametrize("scenario", DYNAMIC_SCENARIOS)
+    def test_failed_workers_run_nothing_and_every_cancel_is_skipped(
+        self, scenario, monkeypatch
+    ):
+        # Every failure that strikes a busy worker cancels one completion,
+        # which the loop skips once (the run drains the heap).
+        struck = []
+        fail = WorkerState.fail
+
+        def counting_fail(worker, now):
+            task = fail(worker, now)
+            struck.append(task is not None)
+            return task
+
+        monkeypatch.setattr(WorkerState, "fail", counting_fail)
+        sim = scenario_sim(scenario)
+        result, skipped = skipped_completions(sim)
+        assert skipped == sum(struck)
+        if scenario in ("failure-storm", "rolling-restart", "heavy-tail-mix"):
+            assert skipped > 0
+        ids = result.trace.column("task_id").tolist()
+        assert sorted(ids) == sorted(set(ids))
+        assert len(ids) == len(sim.tasks) + result.tasks_injected
+        # Nothing is recorded on a worker while it is out of the cluster.
+        for action in sim._dynamics.actions:
+            if isinstance(action, WorkerFailure):
+                back = min(
+                    (
+                        a.time
+                        for a in sim._dynamics.actions
+                        if isinstance(a, WorkerRecovery)
+                        and a.proc == action.proc
+                        and a.time > action.time
+                    ),
+                    default=np.inf,
+                )
+                mask = result.trace.column("proc_id") == action.proc
+                ends = result.trace.column("exec_end")[mask]
+                dispatches = result.trace.column("dispatch_time")[mask]
+                assert np.all((ends <= action.time) | (dispatches >= back))
+
+    @pytest.mark.parametrize(
+        "horizon,end,events", [(12.0, 10.0, 9), (15.0, 10.0, 9), (20.0, 10.0, 9), (30.0, 25.0, 11)]
+    )
+    def test_time_horizon_is_neither_cut_short_nor_extended(self, horizon, end, events):
+        # The cancelled completion at t=15 neither stops the run before the
+        # horizon nor moves the clock: the run ends at the last live event
+        # at or before the horizon.  Worker 1 is still down then, so its
+        # downtime measures the end time.
+        result, skipped = skipped_completions(failover_sim(time_horizon=horizon))
+        assert skipped == 1
+        assert result.events_processed == events
+        assert result.metrics.dynamics.worker_downtime_seconds == end - 5.0
+        assert result.trace.column("exec_end").tolist() == [10.0, 25.0][: 1 + (end > 10)]
+
+
+class TestRunGuards:
+    @pytest.mark.parametrize("scenario,path", SCENARIO_PATHS)
+    def test_event_budget_raises_and_keeps_the_partial_trace(self, scenario, path):
+        full_sim = scenario_sim(scenario, path)
+        full = full_sim.run()
+        budget = full.events_processed // 2
+        sim = scenario_sim(scenario, path, max_events=budget)
+        with pytest.raises(SimulationError, match=f"event budget of {budget} exceeded"):
+            sim.run()
+        # The records handled before the budget ran out are a prefix of the
+        # full run's trace.
+        done = len(sim.trace)
+        assert 0 < done < len(full.trace)
+        for name in TRACE_COLUMNS:
+            np.testing.assert_array_equal(
+                sim.trace.column(name), full.trace.column(name)[:done], err_msg=name
+            )
+
+    @pytest.mark.parametrize("scenario,path", SCENARIO_PATHS)
+    def test_two_fresh_runs_are_identical(self, scenario, path):
+        digests = []
+        for _ in range(2):
+            sim = scenario_sim(scenario, path)
+            digests.append(run_digest(sim, sim.run()))
+        assert digests[0] == digests[1]
+
+    def test_non_positive_event_budget_rejected(self, small_cluster, small_tasks):
+        with pytest.raises(SimulationError, match="max_events must be positive"):
+            DistributedSystemSimulation(
+                EarliestFirstScheduler(),
+                small_cluster,
+                small_tasks,
+                config=SimulationConfig(max_events=0),
+            )
+
+    def test_timeline_may_schedule_only_dynamics_events(self, small_cluster, small_tasks):
+        class ArrivalTimeline:
+            def initially_offline(self):
+                return ()
+
+            def __bool__(self):
+                return True
+
+            def sim_events(self, *, next_task_id, rng=None):
+                return [(1.0, EventKind.TASK_ARRIVAL, {"task": None})]
+
+        sim = DistributedSystemSimulation(
+            EarliestFirstScheduler(), small_cluster, small_tasks, dynamics=ArrivalTimeline()
+        )
+        with pytest.raises(SimulationError, match="cannot schedule"):
+            sim.run()
 
 
 def record(

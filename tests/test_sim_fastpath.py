@@ -469,3 +469,110 @@ class TestScaleAndRunnerThreading:
         assert agg.events_per_second.mean > 0
         timing = result.timing()
         assert timing["steady-state"]["EF"]["events_per_second_mean"] > 0
+
+
+class TestSharedSampler:
+    """Both loops draw communication costs through ``fastpath._sample_comm``.
+
+    Their parity tests cannot catch a bug in a sampler they share, so it is
+    held here to :meth:`CommLink.sample_cost` draw for draw: the same value
+    per dispatch, from one seeded stream, with the same draws consumed.
+    """
+
+    class CountingNormals:
+        """A ``_NormalBlocks`` that counts the draws the sampler takes."""
+
+        def __init__(self, rng):
+            from repro.sim.fastpath import _NormalBlocks
+
+            self.blocks = _NormalBlocks(rng)
+            self.taken = 0
+
+        def next(self):
+            self.taken += 1
+            return self.blocks.next()
+
+    @staticmethod
+    def links():
+        from repro.cluster.network import CommLink
+        from repro.cluster.variation import SinusoidalAvailability
+
+        def varying():
+            return SinusoidalAvailability(base=0.7, amplitude=0.25, period=30.0)
+
+        return {
+            "zero-mean": CommLink(proc_id=0, mean_cost=0.0, relative_std=0.3),
+            "zero-variance": CommLink(proc_id=0, mean_cost=4.0, relative_std=0.0),
+            "normal": CommLink(proc_id=0, mean_cost=4.0, relative_std=0.25),
+            "time-varying": CommLink(
+                proc_id=0, mean_cost=4.0, relative_std=0.25, condition=varying()
+            ),
+            "time-varying-zero-mean": CommLink(
+                proc_id=0, mean_cost=0.0, relative_std=0.25, condition=varying()
+            ),
+            # Relative spread 2: about a third of the raw draws are negative.
+            "clamped": CommLink(proc_id=0, mean_cost=4.0, relative_std=2.0),
+        }
+
+    def draw_both(self, links, picks, seed):
+        """Costs for ``(proc, time)`` *picks* from the sampler and from the links.
+
+        Returns both cost lists and the sampler's draw count, after checking
+        that the reference stream moved by exactly that many draws.
+        """
+        from types import SimpleNamespace
+
+        from repro.cluster.cluster import Cluster
+        from repro.cluster.network import CommLink, Network
+        from repro.cluster.processor import Processor
+        from repro.sim.fastpath import _comm_plans, _sample_comm
+
+        links = [
+            CommLink(proc, link.mean_cost, link.relative_std, link.condition)
+            for proc, link in enumerate(links)
+        ]
+        cluster = Cluster(
+            [Processor(proc_id=proc, peak_rate_mflops=100.0) for proc in range(len(links))],
+            Network(links),
+        )
+        plans = _comm_plans(SimpleNamespace(cluster=cluster))
+        normals = self.CountingNormals(np.random.default_rng(seed))
+        reference = np.random.default_rng(seed)
+        shared = [_sample_comm(plans[proc], t, normals) for proc, t in picks]
+        expected = [links[proc].sample_cost(reference, t) for proc, t in picks]
+        replay = np.random.default_rng(seed)
+        replay.standard_normal(normals.taken)
+        assert reference.bit_generator.state == replay.bit_generator.state
+        return shared, expected, normals.taken
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "zero-mean",
+            "zero-variance",
+            "normal",
+            "time-varying",
+            "time-varying-zero-mean",
+            "clamped",
+        ],
+    )
+    def test_equals_comm_link_sample_cost(self, kind):
+        picks = [(0, 0.37 * i) for i in range(300)]
+        shared, expected, taken = self.draw_both([self.links()[kind]], picks, seed=5)
+        assert shared == expected
+        if kind.endswith("zero-mean"):
+            assert taken == 0  # a zero-mean link returns 0.0 without drawing
+        else:
+            assert taken == len(picks)  # one draw per dispatch, even at zero spread
+        if kind == "zero-variance":
+            assert set(shared) == {4.0}
+        if kind == "clamped":
+            assert min(shared) == 0.0 and max(shared) > 0.0
+
+    def test_interleaved_links_share_one_stream(self):
+        links = list(self.links().values())
+        rng = np.random.default_rng(8)
+        procs = rng.integers(0, len(links), 500).tolist()
+        times = np.cumsum(rng.random(500)).tolist()
+        shared, expected, _ = self.draw_both(links, list(zip(procs, times)), seed=9)
+        assert shared == expected
