@@ -1,33 +1,15 @@
 """Helpers shared by the benchmark modules.
 
-Two concerns live here:
-
-* :class:`FigureCache` — the figure benchmark modules time one expensive
-  experiment once and run several cheap shape assertions against the cached
-  result;
-* :func:`write_bench_record` — the one writer every ``*_speed.py`` /
-  ``*_throughput.py`` script uses to emit its BENCH record.  It normalizes
-  the record to the schema-v2 shape (machine fingerprint + flat metric
-  rows) that :mod:`repro.analysis.scorecard` folds into the scorecard
-  history, prints it, writes the json, and renders the Markdown companion
-  next to it.  Gating lives centrally in ``repro scorecard check`` — the
-  scripts themselves no longer carry per-benchmark ``--check`` flags.
+:class:`FigureCache` — the figure benchmark modules time one expensive
+experiment once and run several cheap shape assertions against the cached
+result.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict
 
-from repro.analysis.scorecard import (
-    bench_row,
-    machine_fingerprint,
-    make_bench_record,
-    render_bench_markdown,
-)
-
-__all__ = ["FigureCache", "bench_row", "machine_fingerprint", "write_bench_record"]
+__all__ = ["FigureCache"]
 
 
 class FigureCache:
@@ -48,30 +30,3 @@ class FigureCache:
     def get(self, key: str, compute: Callable[[], object]):
         """Return the cached result, computing it without timing if needed."""
         return self.run_once(key, compute, benchmark=None)
-
-
-def write_bench_record(
-    benchmark: str,
-    rows: Sequence[Dict[str, object]],
-    *,
-    output: Optional[str] = None,
-    config: Optional[Dict] = None,
-    detail: Optional[Dict] = None,
-) -> Dict[str, object]:
-    """Emit one schema-v2 BENCH record: stdout, json file, Markdown companion.
-
-    When *output* is given, the json lands there and the human-readable
-    companion replaces its extension with ``.md`` (``BENCH_x.json`` →
-    ``BENCH_x.md``).
-    """
-    record = make_bench_record(benchmark, rows, config=config, detail=detail)
-    print(json.dumps(record, indent=2))
-    if output:
-        with open(output, "w", encoding="utf8") as handle:
-            json.dump(record, handle, indent=2)
-            handle.write("\n")
-        companion = os.path.splitext(output)[0] + ".md"
-        rendered = render_bench_markdown(record)
-        with open(companion, "w", encoding="utf8") as handle:
-            handle.write(rendered if rendered.endswith("\n") else rendered + "\n")
-    return record

@@ -8,22 +8,6 @@ from .convergence import (
     compare_convergence,
 )
 from .gantt import render_gantt, utilisation_sparkline
-from .scorecard import (
-    RowCheck,
-    bench_row,
-    check_records,
-    fold_into_history,
-    load_bench_record,
-    load_history,
-    machine_fingerprint,
-    machines_comparable,
-    make_bench_record,
-    new_history,
-    render_bench_markdown,
-    render_scorecard_markdown,
-    save_history,
-    validate_bench_record,
-)
 from .schedule_check import (
     ValidationIssue,
     ValidationReport,
@@ -34,20 +18,6 @@ from .schedule_check import (
 __all__ = [
     "render_gantt",
     "utilisation_sparkline",
-    "RowCheck",
-    "bench_row",
-    "check_records",
-    "fold_into_history",
-    "load_bench_record",
-    "load_history",
-    "machine_fingerprint",
-    "machines_comparable",
-    "make_bench_record",
-    "new_history",
-    "render_bench_markdown",
-    "render_scorecard_markdown",
-    "save_history",
-    "validate_bench_record",
     "ValidationIssue",
     "ValidationReport",
     "validate_trace",

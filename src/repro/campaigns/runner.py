@@ -35,7 +35,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..analysis.scorecard import machine_fingerprint
 from ..experiments.config import ExperimentScale
 from ..experiments.figures import run_figure
 from ..experiments.sweep import aggregate_sweep_outcomes, build_sweep_jobs
@@ -308,9 +307,6 @@ def _write_manifest(
         "cells": _cell_entries(plan, statuses, timings),
         "aggregates": aggregates,
         "timing": timing,
-        # The timing numbers above are only comparable across runs on the
-        # same hardware; the scorecard uses this to decide what to gate.
-        "machine": machine_fingerprint(),
         "updated_at": time.time(),
     }
     return atomic_write_json(payload, store.manifest_path(plan.spec.name))

@@ -16,8 +16,6 @@ Usage examples::
     python -m repro.cli traces make bursty --tasks 100000 --output bursty.csv
     python -m repro.cli traces record --scenario failure-storm --output fs.csv
     python -m repro.cli compare --workload trace:bursty.csv --scale small
-    python -m repro.cli scorecard build
-    python -m repro.cli scorecard check artifacts/bench-records
 
 ``--jobs N`` shards the independent repeats of an experiment (or the cells
 of a scenario matrix / campaign) across ``N`` worker processes (see
@@ -37,18 +35,6 @@ import sys
 from contextlib import contextmanager
 from typing import Iterator, Optional, Sequence
 
-from .analysis.scorecard import (
-    check_records,
-    find_bench_records,
-    fold_into_history,
-    load_bench_record,
-    load_history,
-    manifest_record,
-    new_history,
-    render_scorecard_markdown,
-    save_history,
-    telemetry_diff_record,
-)
 from .campaigns import (
     CampaignSpec,
     ResultStore,
@@ -392,44 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_info.add_argument("path", help="trace file to inspect")
 
-    score_parser = sub.add_parser(
-        "scorecard",
-        help="perf scorecard: fold BENCH records into one history + dashboard",
-    )
-    score_sub = score_parser.add_subparsers(dest="scorecard_command", required=True)
-    score_build = score_sub.add_parser(
-        "build", help="fold BENCH records and campaign manifests into the history"
-    )
-    _add_scorecard_options(score_build)
-    score_build.add_argument(
-        "--manifest",
-        action="append",
-        default=[],
-        metavar="PATH",
-        help="campaign manifest whose timings join the dashboard (repeatable)",
-    )
-    score_build.add_argument(
-        "--diff",
-        action="append",
-        default=[],
-        metavar="PATH",
-        help=(
-            "telemetry diff record (from `telemetry diff --output`) whose "
-            "phase attribution joins the dashboard (repeatable)"
-        ),
-    )
-    score_build.add_argument(
-        "--output",
-        default=os.path.join("benchmarks", "SCORECARD.md"),
-        metavar="PATH",
-        help="rendered Markdown dashboard (default: benchmarks/SCORECARD.md)",
-    )
-    score_check = score_sub.add_parser(
-        "check",
-        help="gate fresh BENCH records against floors and the recorded history",
-    )
-    _add_scorecard_options(score_check)
-
     tel_parser = sub.add_parser(
         "telemetry",
         help="inspect exported telemetry runs (span JSONL written via --telemetry)",
@@ -483,10 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         default=None,
         metavar="PATH",
-        help=(
-            "write the machine-readable diff record there (fold it into the "
-            "scorecard with `scorecard build --diff PATH`)"
-        ),
+        help="write the machine-readable diff record (json) there",
     )
     tel_diff.add_argument(
         "--limit",
@@ -496,25 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max flat paths to show in the table (default: 25)",
     )
     return parser
-
-
-def _add_scorecard_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        default=None,
-        metavar="PATH",
-        help=(
-            "BENCH record files, or directories containing BENCH_*.json "
-            "(default: benchmarks/)"
-        ),
-    )
-    parser.add_argument(
-        "--history",
-        default=os.path.join("benchmarks", "SCORECARD.json"),
-        metavar="PATH",
-        help="scorecard history file (default: benchmarks/SCORECARD.json)",
-    )
 
 
 def _add_campaign_store_option(parser: argparse.ArgumentParser) -> None:
@@ -1042,55 +968,6 @@ def _cmd_traces_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scorecard_records(args: argparse.Namespace):
-    paths = args.paths or ["benchmarks"]
-    files = find_bench_records(paths)
-    if not files:
-        raise ReproError(f"no BENCH records found under {paths}")
-    return [load_bench_record(path) for path in files]
-
-
-def _cmd_scorecard_build(args: argparse.Namespace) -> int:
-    records = _scorecard_records(args)
-    for manifest_path in args.manifest:
-        record = manifest_record(manifest_path)
-        if record is not None:
-            records.append(record)
-    for diff_path in args.diff:
-        records.append(telemetry_diff_record(diff_path))
-    history = load_history(args.history) if os.path.exists(args.history) else new_history()
-    added = fold_into_history(history, records)
-    save_history(history, args.history)
-    dashboard = render_scorecard_markdown(history)
-    with open(args.output, "w", encoding="utf8") as handle:
-        handle.write(dashboard if dashboard.endswith("\n") else dashboard + "\n")
-    print(
-        f"scorecard: folded {len(records)} records "
-        f"({added} new points) into {args.history}"
-    )
-    print(f"dashboard: {args.output}")
-    return 0
-
-
-def _cmd_scorecard_check(args: argparse.Namespace) -> int:
-    records = _scorecard_records(args)
-    if not os.path.exists(args.history):
-        raise ReproError(
-            f"no scorecard history at {args.history}; run `scorecard build` first"
-        )
-    history = load_history(args.history)
-    failed, checks = check_records(records, history)
-    for check in checks:
-        print(f"{check.status:4s} {check.label}: {check.message}")
-    counts = {status: sum(1 for c in checks if c.status == status) for status in
-              ("PASS", "FAIL", "SKIP")}
-    print(
-        f"scorecard check: {counts['PASS']} pass, {counts['FAIL']} fail, "
-        f"{counts['SKIP']} skipped (no comparable history)"
-    )
-    return 1 if failed else 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
@@ -1122,10 +999,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 if args.trace_command == "make":
                     return _cmd_traces_make(args)
                 return _cmd_traces_info(args)
-            if args.command == "scorecard":
-                if args.scorecard_command == "build":
-                    return _cmd_scorecard_build(args)
-                return _cmd_scorecard_check(args)
             if args.command == "telemetry":
                 return _cmd_telemetry(args)
             return _cmd_figure(args.command, args)

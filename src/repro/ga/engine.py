@@ -33,8 +33,8 @@ lockstep map (:class:`repro.parallel.SerialExecutor`) the call waits until
 every job of the map waits, and the waiting runs of equal config and shape
 then evolve together.  Each problem keeps its own generator and makes
 exactly its solo draws, so every result is bit-identical to the solo run.
-Runs with a ``stop_callback``, a time limit or a target makespan, and
-``backend="loop"`` runs, always run alone.
+Runs with a time limit or a target makespan, and ``backend="loop"`` runs,
+always run alone.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 import enum
 import time as _time
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional, Sequence, Union
+from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -72,7 +72,6 @@ class GAStopReason(enum.Enum):
 
     MAX_GENERATIONS = "max_generations"
     TARGET_MAKESPAN = "target_makespan"
-    EXTERNAL_STOP = "external_stop"
     TIME_LIMIT = "time_limit"
 
 
@@ -210,25 +209,9 @@ class GeneticAlgorithm:
         return self._backend
 
     # -- main loop --------------------------------------------------------------------
-    def evolve(
-        self,
-        problem: BatchProblem,
-        stop_callback: Optional[Callable[[int, float], bool]] = None,
-    ) -> GAResult:
-        """Run the GA on *problem* and return the best schedule found.
-
-        Parameters
-        ----------
-        problem:
-            The batch problem to map.
-        stop_callback:
-            Optional predicate ``f(generation, elapsed_seconds) -> bool``; when
-            it returns True the GA stops and returns the best schedule found so
-            far.  The simulator uses this to emulate the paper's "stop when a
-            processor becomes idle" condition.  A run with a callback always
-            evolves alone.
-        """
-        run = _Run(self, problem, stop_callback)
+    def evolve(self, problem: BatchProblem) -> GAResult:
+        """Run the GA on *problem* and return the best schedule found."""
+        run = _Run(self, problem)
         if run.stackable():
             result = batched(_evolve_batch, run)
         else:
@@ -252,14 +235,12 @@ class _Run(NamedTuple):
 
     engine: GeneticAlgorithm
     problem: BatchProblem
-    stop_callback: Optional[Callable[[int, float], bool]]
 
     def stackable(self) -> bool:
         """Whether the run may evolve in a group: nothing can stop it early."""
         cfg = self.engine.config
         return (
-            self.stop_callback is None
-            and cfg.target_makespan is None
+            cfg.target_makespan is None
             and cfg.time_limit_seconds is None
             and isinstance(self.engine.backend, VectorizedBackend)
         )
@@ -315,8 +296,6 @@ def _evolve_group(runs: Sequence[_Run]) -> List[GAResult]:
     group = ProblemGroup([run.problem for run in runs], pop)
     rngs = [run.engine._rng for run in runs]
     row_starts = np.arange(0, n_runs * pop, pop)
-    # Only a run alone can stop early (see ``_Run.stackable``).
-    stop_callback = runs[0].stop_callback
     timings = PhaseTimer()
     start = _time.perf_counter()
 
@@ -388,9 +367,6 @@ def _evolve_group(runs: Sequence[_Run]) -> List[GAResult]:
         # -- stopping conditions (Sect. 3.4) --------------------------------------
         if cfg.target_makespan is not None and best_makespan.max() <= cfg.target_makespan:
             stop_reason = GAStopReason.TARGET_MAKESPAN
-            break
-        if stop_callback is not None and stop_callback(generation, elapsed):
-            stop_reason = GAStopReason.EXTERNAL_STOP
             break
         if cfg.time_limit_seconds is not None and elapsed >= cfg.time_limit_seconds:
             stop_reason = GAStopReason.TIME_LIMIT

@@ -23,10 +23,15 @@ The subsystem's pieces:
 Two contracts hold everywhere (and are tested):
 
 * **RNG-inert** — telemetry only ever reads the wall clock; enabled and
-  disabled runs produce bit-identical results on both sim backends.
+  disabled runs produce bit-identical results on both sim engines, with
+  and without resource capture (``tests/test_telemetry.py``:
+  ``TestRNGInertness``, ``TestResourceAttribution``).
 * **Free when off** — with no active session the instrumentation reduces
-  to a module-global read; the disabled path is gated at ≤2% on the
-  paper-scale fast-path benchmark (``BENCH_telemetry.json``).
+  to a module-global read.  When on, a simulation records a fixed handful
+  of spans per run, not per event (``TestSpanCounts``), so the cost of an
+  enabled session does not grow with the workload.  Telemetry-off
+  throughput is part of the end-to-end ``heuristics_paper`` workload's
+  ``wall_s`` (``benchmarks/e2e``).
 """
 
 from .diff import (
@@ -34,7 +39,6 @@ from .diff import (
     RunDiff,
     diff_record,
     diff_runs,
-    load_diff_record,
     render_diff,
 )
 from .export import (
@@ -119,7 +123,6 @@ __all__ = [
     "RunDiff",
     "diff_runs",
     "diff_record",
-    "load_diff_record",
     "render_diff",
     # monitor
     "RunMonitor",

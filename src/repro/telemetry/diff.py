@@ -22,15 +22,12 @@ the parent's slowdown — the output a CI gate wants when a throughput number
 moved ("drain +38 %, schedule flat").
 
 The machine-readable record (:func:`diff_record`, ``--output``) is a plain
-JSON document that ``repro scorecard build --diff`` folds into
-``SCORECARD.json``, so phase-level attribution lands in the same history
-the throughput gates read.
+JSON document holding the same per-path deltas, verdict and counter deltas
+as the rendered table, for a CI artifact or a script to read.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -47,7 +44,6 @@ __all__ = [
     "aggregate_by_path",
     "diff_runs",
     "diff_record",
-    "load_diff_record",
     "render_diff",
 ]
 
@@ -336,8 +332,7 @@ def diff_runs(
 def diff_record(diff: RunDiff) -> Dict[str, object]:
     """The machine-readable JSON document for one diff.
 
-    This is what ``repro telemetry diff --output`` writes and what
-    ``repro scorecard build --diff`` folds into the scorecard history.
+    This is what ``repro telemetry diff --output`` writes.
     """
     return {
         "kind": "telemetry_diff",
@@ -356,25 +351,6 @@ def diff_record(diff: RunDiff) -> Dict[str, object]:
         "paths": [delta.to_dict() for delta in diff.deltas],
         "counter_deltas": diff.counter_deltas,
     }
-
-
-def load_diff_record(path: str) -> Dict[str, object]:
-    """Load (and validate the shape of) a diff record written by ``--output``."""
-    if not os.path.exists(path):
-        raise ConfigurationError(f"no telemetry diff record at {path!r}")
-    with open(path, encoding="utf8") as handle:
-        record = json.load(handle)
-    if (
-        not isinstance(record, dict)
-        or record.get("kind") != "telemetry_diff"
-        or record.get("format_version") != DIFF_FORMAT_VERSION
-        or not isinstance(record.get("paths"), list)
-    ):
-        raise ConfigurationError(
-            f"{os.path.basename(path)}: not a version-{DIFF_FORMAT_VERSION} "
-            "telemetry diff record"
-        )
-    return record
 
 
 def _fmt_ratio(delta: PathDelta) -> str:

@@ -12,11 +12,13 @@ that region cost the process*.  When a session is created with
 
 Capture is opt-in per session and follows the same free-when-off contract
 as the rest of the subsystem: with no session (or an uninstrumented one)
-instrumented code still pays only the single module-global read, and the
-*enabled* cost is gated by the ``resource_overhead_x`` scorecard row
-(``benchmarks/telemetry_overhead.py``, ceiling 1.5x over the uninstrumented
-run).  Like spans themselves, the probe reads clocks and kernel counters
-only — never an RNG stream — so resource capture is RNG-inert.
+instrumented code still pays only the single module-global read.  When
+on, the probe samples only at the boundaries of context-managed spans — a
+simulation opens one (``sim:run``) however many events it processes, which
+``tests/test_telemetry.py::TestSpanCounts`` pins.  Like spans themselves,
+the probe reads clocks and kernel counters only — never an RNG stream — so
+resource capture is RNG-inert
+(``TestResourceAttribution::test_resource_capture_is_rng_inert``).
 
 Platform notes: ``process_time`` and the GC counter exist everywhere;
 current RSS needs ``/proc/self/statm`` (Linux).  Elsewhere the probe falls

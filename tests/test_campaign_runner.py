@@ -385,13 +385,32 @@ class TestManifest:
         assert manifest["completed_cells"] == manifest["total_cells"]
         assert manifest["aggregates"] is not None
         assert "scenarios" in manifest["timing"]
-        # Per-cell timing is recorded for the perf trajectory.
+        # Per-cell timing is recorded, outside the aggregates.
         scenario_rows = manifest["timing"]["scenarios"]["failure-storm"]
         for row in scenario_rows.values():
             assert "events_per_second_mean" in row
             assert "scheduling_mean_seconds" in row
             assert "dispatch_mean_seconds" in row
             assert "drain_mean_seconds" in row
+
+    def test_manifest_with_a_machine_field_still_resumes(self, spec, tmp_path):
+        # Manifests used to carry a machine fingerprint; loading checks only
+        # the format version, so such a manifest resumes and is rewritten
+        # without it.
+        store = ResultStore(tmp_path / "store")
+        run_campaign(spec, store, max_cells=1)
+        path = store.manifest_path(spec.name)
+        with open(path, encoding="utf8") as handle:
+            manifest = json.load(handle)
+        assert "machine" not in manifest
+        manifest["machine"] = {"cpu_count": 2, "platform": "Linux", "python": "3.11"}
+        with open(path, "w", encoding="utf8") as handle:
+            json.dump(manifest, handle)
+        assert load_manifest(store, spec.name)["machine"]["cpu_count"] == 2
+        assert main(["campaigns", "resume", "--store", str(store.root), spec.name]) == 0
+        resumed = load_manifest(store, spec.name)
+        assert "machine" not in resumed
+        assert resumed["completed_cells"] == resumed["total_cells"]
 
     def test_resume_roundtrips_the_spec(self, spec, tmp_path):
         store = ResultStore(tmp_path / "store")

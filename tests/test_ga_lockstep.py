@@ -94,9 +94,3 @@ def test_runs_that_can_stop_early_evolve_alone():
         assert [r.stacked for r, _ in SerialExecutor().map(_evolve, jobs)] == [1, 1, 1]
     jobs = [(base, (5, 3), seed) for seed in range(3)]
     assert [r.stacked for r, _ in SerialExecutor().map(_evolve, jobs)] == [3, 3, 3]
-
-    def with_callback(seed):
-        engine = GeneticAlgorithm(base, rng=seed)
-        return engine.evolve(_problem(seed, 5, 3), stop_callback=lambda gen, s: False)
-
-    assert [r.stacked for r in SerialExecutor().map(with_callback, range(3))] == [1, 1, 1]

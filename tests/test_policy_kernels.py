@@ -10,8 +10,11 @@ the simulation master to batched immediate-mode waves, so full simulations
 under either policy backend — on either simulation engine — must also be
 bit-identical.  Full simulations select the policy backend through the
 master's ``policy_kernels`` seam and force the event engine by patching
-``uses_fast_path`` on the simulation instance.
+``uses_fast_path`` on the simulation instance.  Call-count tests pin what
+the vectorized backend is for: a burst of N tasks costs one wave call.
 """
+
+import collections
 
 import numpy as np
 import pytest
@@ -31,7 +34,11 @@ from repro.schedulers import (
     policy_backend_from_name,
 )
 from repro.schedulers.base import ImmediateScheduler
-from repro.schedulers.extended import SufferageScheduler
+from repro.schedulers.extended import (
+    MinimumExecutionTimeScheduler,
+    OpportunisticLoadBalancingScheduler,
+    SufferageScheduler,
+)
 from repro.schedulers.kernels import diversion_target
 from repro.schedulers.registry import make_scheduler
 from repro.sim.simulation import DistributedSystemSimulation, SimulationConfig
@@ -498,6 +505,103 @@ class TestWaveVsPerTask:
         )
         with pytest.raises(SimulationError, match="wave kernel placed a task on an offline"):
             sim.run()
+
+
+KERNELS = (
+    *WAVE_KERNELS,
+    "round_robin_wave",
+    "place_picks",
+    "greedy_finish_batch",
+    "sufferage_batch",
+)
+
+
+def counting_backend():
+    """A vectorized backend plus a counter of the calls to each of its kernels."""
+    backend = VectorizedPolicyBackend()
+    calls = collections.Counter()
+    for name in KERNELS:
+
+        def counted(*args, _name=name, _kernel=getattr(backend, name), **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+
+        setattr(backend, name, counted)
+    return backend, calls
+
+
+class TestKernelCallCounts:
+    """A burst of N tasks costs one wave call, not N policy calls.
+
+    Every task of the ``normal`` workload arrives at t=0.  The immediate
+    policies place the whole burst in one wave however large it is, and the
+    batch policies call their kernel once per batch of 50 — on the fast
+    path, on the event loop, and on the event loop with worker 0 offline.
+    The counts are deterministic, so they pin the vectorized backend's
+    design with no timing noise.
+    """
+
+    # RR and MET pick without looking at the loads, then commit the picks
+    # through one ``place_picks`` call.
+    WAVE_CALLS = {
+        "EF": {"earliest_finish_wave": 1},
+        "LL": {"lightest_loaded_wave": 1},
+        "RR": {"round_robin_wave": 1, "place_picks": 1},
+        "OLB": {"opportunistic_wave": 1},
+        "MET": {"minimum_execution_wave": 1, "place_picks": 1},
+    }
+    BATCH_KERNELS = {
+        "MM": "greedy_finish_batch",
+        "MX": "greedy_finish_batch",
+        "SU": "sufferage_batch",
+    }
+    MODES = ["fast", "event", "offline"]
+
+    def run(self, scheduler_name, n_tasks, mode):
+        tasks = generate_workload(workload_by_name("normal", n_tasks), np.random.default_rng(0))
+        cluster = heterogeneous_cluster(10, mean_comm_cost=5.0, rng=np.random.default_rng(1))
+        if scheduler_name == "OLB":
+            scheduler = OpportunisticLoadBalancingScheduler()
+        elif scheduler_name == "MET":
+            scheduler = MinimumExecutionTimeScheduler()
+        elif scheduler_name == "SU":
+            scheduler = SufferageScheduler(batch_size=50)
+        else:
+            scheduler = make_scheduler(
+                scheduler_name, n_processors=10, batch_size=50, max_generations=10, rng=2
+            )
+        # Worker 0 joins long after the last task finishes.
+        offline = mode == "offline"
+        dynamics = DynamicsTimeline([WorkerJoin(time=1e9, proc=0)]) if offline else None
+        sim = DistributedSystemSimulation(scheduler, cluster, tasks, dynamics=dynamics, rng=3)
+        if mode == "event":
+            sim.uses_fast_path = lambda: False
+        sim.master.policy_kernels, calls = counting_backend()
+        result = sim.run()
+        assert sorted(result.trace.task_ids().tolist()) == list(range(n_tasks))
+        if offline:
+            assert 0 not in result.trace.column("proc_id").tolist()
+        return result, calls
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n_tasks", [200, 2000])
+    @pytest.mark.parametrize("scheduler_name", sorted(WAVE_CALLS))
+    def test_one_burst_is_one_wave(self, scheduler_name, n_tasks, mode):
+        result, calls = self.run(scheduler_name, n_tasks, mode)
+        assert result.scheduler_invocations == n_tasks
+        assert calls == self.WAVE_CALLS[scheduler_name]
+        if mode == "offline" and scheduler_name == "RR":
+            # The rotation's picks on the offline worker are diverted inside
+            # the one wave.
+            assert result.metrics.dynamics.tasks_redirected == n_tasks // 10
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n_tasks", [200, 2000])
+    @pytest.mark.parametrize("scheduler_name", sorted(BATCH_KERNELS))
+    def test_batch_policy_calls_its_kernel_once_per_batch(self, scheduler_name, n_tasks, mode):
+        result, calls = self.run(scheduler_name, n_tasks, mode)
+        assert calls == {self.BATCH_KERNELS[scheduler_name]: n_tasks // 50}
+        assert result.scheduler_invocations == n_tasks // 50
 
 
 class TestBackendSelectionAndValidation:

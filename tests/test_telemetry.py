@@ -1,9 +1,13 @@
 """Tests for the telemetry subsystem: spans, metrics, forwarding, CLI.
 
-The two contracts the rest of the repo depends on are pinned here:
+The contracts the rest of the repo depends on are pinned here:
 
-* **RNG-inertness** — enabling telemetry changes no result bit, on either
-  simulation engine and under every executor;
+* **RNG-inertness** — enabling telemetry, with or without resource
+  capture, changes no result bit, on either simulation engine and under
+  every executor (``TestRNGInertness``, ``TestResourceAttribution``);
+* **cost per span, not per event** — a simulation records the same four
+  spans, and the resource probe samples the same two times, whatever the
+  workload's size (``TestSpanCounts``);
 * **tree integrity** — the span tree stays structurally sound (unique ids,
   resolvable parents) when worker snapshots are merged back across process
   boundaries.
@@ -18,8 +22,10 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.cluster import heterogeneous_cluster
 from repro.parallel import ParallelExecutor, SerialExecutor, executor_from_jobs
 from repro.schedulers import EarliestFirstScheduler, MinMinScheduler
+from repro.schedulers.registry import make_scheduler
 from repro.sim import DistributedSystemSimulation, SimulationConfig, simulate_schedule
 from repro.telemetry import (
     MAX_SPANS,
@@ -45,7 +51,10 @@ from repro.telemetry import (
     wrap_jobs_fn,
     write_run_jsonl,
 )
+from repro.telemetry.resources import ResourceProbe
 from repro.util.errors import ConfigurationError
+from repro.workloads import generate_workload
+from repro.workloads.suites import workload_by_name
 
 
 @pytest.fixture(autouse=True)
@@ -679,7 +688,7 @@ class TestAdversarialTrees:
 
 class TestResourceAttribution:
     def test_probe_sample_and_delta(self):
-        from repro.telemetry.resources import ResourceProbe, gc_collections, rss_bytes
+        from repro.telemetry.resources import gc_collections, rss_bytes
 
         probe = ResourceProbe()
         before = probe.sample()
@@ -791,6 +800,47 @@ class TestResourceAttribution:
         with telemetry_session(TelemetrySession(capture_resources=True)):
             observed = _sim_digest(run())
         assert observed == baseline
+
+
+class TestSpanCounts:
+    """A simulation records a fixed set of spans per run, not per event.
+
+    So an enabled session, and resource capture on top of it, add a cost per
+    run that does not grow with the workload: the resource probe samples
+    only at the boundaries of the one context-managed span.
+    """
+
+    @pytest.mark.parametrize("engine", ["fast", "event"])
+    @pytest.mark.parametrize("scheduler_name", ["MM", "EF", "LL"])
+    def test_sim_records_four_spans_at_any_size(self, scheduler_name, engine, monkeypatch):
+        config = _on_engine(monkeypatch, engine)
+        samples = []
+        sample = ResourceProbe.sample
+
+        def counted_sample(probe):
+            samples.append(1)
+            return sample(probe)
+
+        monkeypatch.setattr(ResourceProbe, "sample", counted_sample)
+        events = []
+        for n_tasks in (200, 2000):
+            tasks = generate_workload(workload_by_name("normal", n_tasks), np.random.default_rng(0))
+            cluster = heterogeneous_cluster(10, mean_comm_cost=5.0, rng=np.random.default_rng(1))
+            scheduler = make_scheduler(
+                scheduler_name, n_processors=10, batch_size=50, max_generations=10, rng=2
+            )
+            samples.clear()
+            with telemetry_session(TelemetrySession(capture_resources=True)) as session:
+                result = simulate_schedule(scheduler, cluster, tasks, config=config, rng=3)
+            assert sorted(s.name for s in session.spans) == [
+                "phase:dispatch",
+                "phase:drain",
+                "phase:scheduling",
+                "sim:run",
+            ]
+            assert len(samples) == 2  # entry and exit of sim:run
+            events.append(result.events_processed)
+        assert events[1] > 9 * events[0]
 
 
 class TestDroppedSpansWarning:

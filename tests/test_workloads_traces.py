@@ -14,6 +14,7 @@ import pytest
 
 from repro.campaigns.store import cache_key
 from repro.cli import main
+from repro.cluster import heterogeneous_cluster
 from repro.experiments.config import get_scale
 from repro.scenarios import (
     ScenarioCell,
@@ -22,6 +23,7 @@ from repro.scenarios import (
     run_scenario_cell,
     scenario_names,
 )
+from repro.schedulers.registry import make_scheduler
 from repro.sim import DistributedSystemSimulation, simulate_schedule
 from repro.util.errors import ConfigurationError, WorkloadError
 from repro.workloads import (
@@ -325,8 +327,6 @@ class TestRecordReplay:
 
 
 def make_ef_scheduler(n_processors: int):
-    from repro.schedulers import make_scheduler
-
     return make_scheduler("EF", n_processors=n_processors)
 
 
@@ -422,6 +422,23 @@ class TestSyntheticTraces:
 
         # Squared coefficient of variation: 1 for Poisson, higher when rates mix.
         assert cv2(bursty) > cv2(diurnal) > 0.9
+
+    @pytest.mark.parametrize("ext", [".csv", ".json"])
+    def test_bursty_pipeline_completes_every_task_exactly_once(self, tmp_path, ext):
+        # Generate -> save -> load -> materialise -> simulate with LL on the
+        # fast path, at 20,000 tasks on 20 processors (CI runs the same
+        # pipeline at 1M tasks).
+        n_tasks = 20_000
+        path = str(tmp_path / f"bursty{ext}")
+        save_trace(make_bursty_trace(n_tasks, seed=42), path)
+        tasks = TraceSpec.from_file(path).materialise()
+        cluster = heterogeneous_cluster(20, mean_comm_cost=5.0, rng=np.random.default_rng(43))
+        scheduler = make_scheduler(
+            "LL", n_processors=20, batch_size=500, max_generations=10, rng=44
+        )
+        result = simulate_schedule(scheduler, cluster, tasks, rng=45)
+        completed = np.sort(result.trace.task_ids())
+        np.testing.assert_array_equal(completed, np.arange(n_tasks))
 
 
 class TestScenarioAndCliIntegration:
