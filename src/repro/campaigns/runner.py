@@ -10,7 +10,9 @@ ResultStore`:
 * :func:`run_campaign` computes only the cells missing from the store,
   streaming them through any :class:`~repro.parallel.ExperimentExecutor`
   (serial or the process pool) and **checkpointing the campaign manifest
-  after every completed cell**;
+  after every completed cell**; on the process pool, each GA scheduler's
+  scenario cells run as a few group jobs, each a lockstep map in one worker
+  (see :func:`_pool_jobs`);
 * aggregates are always folded from the *stored* records in cell order, so
   a run interrupted after k of n cells and then resumed produces aggregates
   bit-identical to an uninterrupted run — and a warm-store rerun computes
@@ -25,13 +27,14 @@ it carries.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,7 +42,12 @@ from ..experiments.config import ExperimentScale
 from ..experiments.figures import run_figure
 from ..experiments.sweep import aggregate_sweep_outcomes, build_sweep_jobs
 from ..io.results import atomic_write_json, figure_to_dict
-from ..parallel.executor import ExperimentExecutor, resolve_executor
+from ..parallel.executor import (
+    LOCKSTEP_WIDTH,
+    ExperimentExecutor,
+    SerialExecutor,
+    resolve_executor,
+)
 from ..parallel.jobs import GARunOutcome, run_ga_job
 from ..scenarios.runner import (
     ScenarioCellOutcome,
@@ -49,6 +57,7 @@ from ..scenarios.runner import (
     resolve_scenario_specs,
     run_scenario_cell,
 )
+from ..schedulers.registry import GA_SCHEDULER_NAMES
 from ..sim.simulation import SimulationConfig
 from ..telemetry import get_session, span
 from ..telemetry.monitor import RunMonitor
@@ -82,6 +91,11 @@ KIND_SWEEP = "ga_run"
 #: ``timing`` section, not into ``aggregates`` — aggregates must be
 #: bit-identical between independent runs and measured seconds are not.
 WALL_CLOCK_FIGURES = frozenset({"fig4"})
+
+#: Most cells in one GA group job on the process pool (:func:`_pool_jobs`):
+#: one lockstep map's width, so all of a group's cells are in flight at once,
+#: and a crash or Ctrl-C loses at most that many cells per worker.
+GROUP_CELLS = LOCKSTEP_WIDTH
 
 
 @dataclass(frozen=True)
@@ -141,6 +155,44 @@ def run_campaign_cell(cell: CampaignCell) -> Dict:
         else:
             raise ConfigurationError(f"unknown campaign cell kind {cell.kind!r}")
     return {"payload": payload, "elapsed_seconds": time.perf_counter() - start}
+
+
+def _run_cells(cell_fn: Callable[[CampaignCell], Dict], cells: List[CampaignCell]) -> List[Dict]:
+    """Run one executor job of a campaign: one cell, or a group of cells.
+
+    A group runs as one lockstep map, so the waiting GA runs of its cells
+    evolve as stacked populations; every cell's result is the one it
+    computes alone.
+    """
+    if len(cells) == 1:
+        return [cell_fn(cells[0])]
+    return SerialExecutor().map(cell_fn, cells)
+
+
+def _pool_jobs(pending: List[CampaignCell], workers: int) -> List[List[CampaignCell]]:
+    """The process-pool jobs for *pending*, in cell order.
+
+    Each GA scheduler's scenario cells are cut, in cell order, into
+    contiguous groups of at most ⌈GA cells / *workers*⌉ and at most
+    :data:`GROUP_CELLS` cells, so every worker gets GA work while one job
+    stays short; with no more GA cells than workers, every group is a
+    single cell.  A group sits where its first cell does, and every other
+    cell is a job of its own.
+    """
+    is_ga = [c.kind == KIND_SCENARIO and c.job.scheduler in GA_SCHEDULER_NAMES for c in pending]
+    size = min(-(-sum(is_ga) // workers), GROUP_CELLS)
+    jobs: List[List[CampaignCell]] = []
+    open_groups: Dict[str, List[CampaignCell]] = {}
+    for cell, ga in zip(pending, is_ga):
+        if not ga:
+            jobs.append([cell])
+            continue
+        group = open_groups.get(cell.job.scheduler)
+        if group is None or len(group) == size:
+            group = open_groups[cell.job.scheduler] = []
+            jobs.append(group)
+        group.append(cell)
+    return jobs
 
 
 @dataclass
@@ -432,15 +484,21 @@ def run_campaign(
     """Run (or resume) *spec* against *store*.
 
     Cells whose keys are already stored are counted as ``cached`` and never
-    recomputed; the rest stream through the executor in cell order, each
-    result persisted to the store and the manifest checkpointed before the
-    next result is consumed.  ``max_cells`` stops the run after that many
-    *computed* cells (the deterministic stand-in for an interruption: CI
-    kills a campaign this way and then asserts resume bit-identity);
-    Ctrl-C and a crashed worker process are handled the same way, keeping
-    every already-completed cell; ``interrupt_reason`` records which of
-    ``"max-cells"``, ``"keyboard-interrupt"`` or ``"worker-crash"`` stopped
-    the run.
+    recomputed; the rest stream through the executor, each result persisted
+    to the store and the manifest checkpointed before the next result is
+    consumed.  A serial executor streams them in cell order, one at a time.
+    The process pool gets each GA scheduler's cells as group jobs of at most
+    :data:`GROUP_CELLS`, each where its first cell sits (:func:`_pool_jobs`),
+    and a group's cells are persisted one by one when the group's result
+    arrives.  ``max_cells`` computes only the first that many pending cells
+    (the deterministic stand-in for an interruption: CI kills a campaign
+    this way and then asserts resume bit-identity); Ctrl-C and a crashed
+    worker process are handled the same way, keeping every
+    already-completed job: serially that loses at most the cell in
+    progress, on the pool the jobs in flight, at most one group
+    (:data:`GROUP_CELLS` cells) per worker.  ``interrupt_reason`` records
+    which of ``"max-cells"``, ``"keyboard-interrupt"`` or
+    ``"worker-crash"`` stopped the run.
 
     Aggregates are only attached when every cell has a stored result, and
     are always folded from the store in cell order — see
@@ -481,7 +539,9 @@ def run_campaign(
             cached_payloads[cell.key] = record["payload"]
             meta = record.get("meta", {})
             if "elapsed_seconds" in meta:
-                timings[cell.cell_id] = {"elapsed_seconds": meta["elapsed_seconds"]}
+                timings[cell.cell_id] = {
+                    k: meta[k] for k in ("elapsed_seconds", "group_cells") if k in meta
+                }
         else:
             statuses[cell.cell_id] = "pending"
             pending.append(cell)
@@ -490,6 +550,13 @@ def run_campaign(
     interrupt_reason = ""
     computed = 0
     cached_count = len(plan.cells) - len(pending)
+    stops_early = max_cells is not None and len(pending) > int(max_cells)
+    if stops_early:
+        pending = pending[: int(max_cells)]
+    if executor.jobs > 1:
+        jobs = _pool_jobs(pending, executor.jobs)
+    else:
+        jobs = [[cell] for cell in pending]
     logger.info(
         "campaign %s: %d cells (%d cached, %d to compute) via %s",
         spec.name,
@@ -510,8 +577,14 @@ def run_campaign(
         executor=executor.describe(),
     )
 
-    def persist(cell: CampaignCell, outcome: Dict) -> None:
+    def persist(cell: CampaignCell, outcome: Dict, group_cells: int) -> None:
         nonlocal computed
+        cell_timing = {"elapsed_seconds": outcome["elapsed_seconds"]}
+        if group_cells > 1:
+            # The cell ran in a lockstep group: its seconds (and its
+            # payload's wall-clock and phase seconds) include the turns of
+            # its group-mates, so they are not the cell's solo time.
+            cell_timing["group_cells"] = group_cells
         if not store.has(cell.key):  # duplicate keys: first write wins
             # The index rewrite is deferred to the end of the run (the
             # record file is durable on its own) so per-cell checkpoint
@@ -520,15 +593,11 @@ def run_campaign(
                 cell.key,
                 cell.kind,
                 outcome["payload"],
-                meta={
-                    "cell_id": cell.cell_id,
-                    "campaign": spec.name,
-                    "elapsed_seconds": outcome["elapsed_seconds"],
-                },
+                meta={"cell_id": cell.cell_id, "campaign": spec.name, **cell_timing},
                 flush_index=False,
             )
         statuses[cell.cell_id] = "computed"
-        timings[cell.cell_id] = {"elapsed_seconds": outcome["elapsed_seconds"]}
+        timings[cell.cell_id] = cell_timing
         computed += 1
         monitor.cell_event(cell.cell_id, "computed", outcome["elapsed_seconds"])
         logger.info(
@@ -562,38 +631,38 @@ def run_campaign(
         cached=cached_count,
         executor=executor.describe(),
     ):
-        # Cells stream in order and the manifest is checkpointed after each.
-        # The heartbeat context is active while the executor wraps and runs
-        # the jobs, so worker processes report per-job progress beside the
-        # status file.
+        # Jobs stream in order and the manifest is checkpointed after each
+        # cell.  The heartbeat context is active while the executor wraps and
+        # runs the jobs, so worker processes report per-job progress beside
+        # the status file.
         with monitor.heartbeats():
-            stream = executor.imap(run_campaign_cell, pending)
+            stream = executor.imap(functools.partial(_run_cells, run_campaign_cell), jobs)
             try:
-                for cell, outcome in zip(pending, stream):
-                    persist(cell, outcome)
-                    if max_cells is not None and max_cells <= computed < len(pending):
-                        interrupted = True
-                        interrupt_reason = "max-cells"
+                for cells, outcomes in zip(jobs, stream):
+                    for cell, outcome in zip(cells, outcomes):
+                        persist(cell, outcome, len(cells))
                         manifest_path = checkpoint()
-                        break
+                if stops_early:
+                    interrupted = True
+                    interrupt_reason = "max-cells"
                     manifest_path = checkpoint()
             except (KeyboardInterrupt, ExperimentInterrupted) as exc:
                 interrupted = True
                 crashed = isinstance(exc.__cause__, BrokenProcessPool)
                 interrupt_reason = "worker-crash" if crashed else "keyboard-interrupt"
                 if isinstance(exc, ExperimentInterrupted):
-                    # The executor surfaced results that completed before the
+                    # The executor surfaced jobs that completed before the
                     # interrupt but were never consumed: keep them, they are paid for.
                     for index in sorted(exc.partial):
-                        cell = pending[index]
-                        if statuses[cell.cell_id] == "pending":
-                            persist(cell, exc.partial[index])
+                        for cell, outcome in zip(jobs[index], exc.partial[index]):
+                            if statuses[cell.cell_id] == "pending":
+                                persist(cell, outcome, len(jobs[index]))
                 manifest_path = checkpoint()
             finally:
                 # Close the stream *before* the executor: an abandoned parallel
-                # stream (the --max-cells break) cancels its not-yet-started chunks
-                # on GeneratorExit, so the pool shutdown below only waits for the
-                # handful of jobs actually in flight instead of the whole campaign.
+                # stream cancels its not-yet-started jobs on GeneratorExit, so
+                # the pool shutdown below only waits for the handful of jobs
+                # actually in flight instead of the whole campaign.
                 closer = getattr(stream, "close", None)
                 if closer is not None:
                     closer()

@@ -422,9 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=DEFAULT_THRESHOLD,
         metavar="FRACTION",
+        # argparse %-formats help strings, so the percent sign is doubled.
         help=(
             "relative elapsed change flagged as significant "
-            f"(default: {DEFAULT_THRESHOLD:g} = {DEFAULT_THRESHOLD:.0%})"
+            f"(default: {DEFAULT_THRESHOLD:g} = {DEFAULT_THRESHOLD:.0%}%)"
         ),
     )
     tel_diff.add_argument(
@@ -458,8 +459,8 @@ def _add_campaign_run_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="K",
-        help="stop after K computed cells (simulated interruption; the run "
-        "exits with code 3 and can be resumed)",
+        help="compute only the first K pending cells (simulated interruption; "
+        "the run exits with code 3 and can be resumed)",
     )
     _add_telemetry_option(parser)
 

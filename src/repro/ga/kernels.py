@@ -48,9 +48,12 @@ run.  Per generation, after fitness evaluation, the draws are:
 4. **mutation gates** — one ``rng.random(population_size)`` block;
    individual ``i`` mutates iff ``gates[i] < mutation_rate``.
 5. **swap positions** — two integer blocks via :func:`draw_swap_positions`:
-   first positions ``rng.integers(0, L, size=(n_mutated, n_swaps))``, then
-   partner positions ``rng.integers(0, L - 1, ...)`` shifted past the first
-   index, ordered by (individual ascending, swap ascending).
+   first the ``n_mutated · n_swaps`` first positions, each below ``L``, then
+   as many partner positions, each below ``L - 1`` and shifted past its
+   first index, both ordered by (individual ascending, swap ascending).  One
+   ``rng.integers(0, [L] * n + [L - 1] * n)`` call draws both blocks; it
+   reads the stream exactly as ``rng.integers(0, L, size=n)`` followed by
+   ``rng.integers(0, L - 1, size=n)``.
 
 Stages 2–5 are therefore bit-identical between backends.  The re-balancing
 heuristic and selection make *value-dependent* random draws (which tasks to
@@ -109,12 +112,16 @@ def draw_swap_positions(
     The draws are consumed as two blocks (all first positions, then all
     partner positions) so both backends read the identical stream; a block
     of ``rng.integers`` is bit-identical to the same number of sequential
-    scalar draws.
+    scalar draws.  Both blocks come from one ``integers`` call with one
+    upper bound per draw, which makes the same draws, in the same order, as
+    the two sized calls and leaves the generator in the same state.
     """
     if length < 2:
         raise ConfigurationError("chromosomes must have at least 2 genes to swap")
-    i = rng.integers(0, length, size=(n_rows, n_swaps))
-    j = rng.integers(0, length - 1, size=(n_rows, n_swaps))
+    size = n_rows * n_swaps
+    draws = rng.integers(0, [length] * size + [length - 1] * size)
+    i = draws[:size].reshape(n_rows, n_swaps)
+    j = draws[size:].reshape(n_rows, n_swaps)
     j = j + (j >= i)
     return i, j
 

@@ -39,7 +39,9 @@ order, while later jobs may execute concurrently.  Consumers that checkpoint
 after every result (the campaign runner persists each completed cell to its
 result store) use it so an interrupted run loses at most the bounded set of
 in-flight jobs.  A serial ``imap`` stays lazy and runs one job at a time
-(no lockstep), and so does each process-pool worker on its chunk.  A
+(no lockstep).  A process-pool worker runs one job at a time; a job may
+itself be a lockstep ``map`` over a group of jobs, which is how the
+campaign runner stacks a worker's GA runs.  A
 ``KeyboardInterrupt`` during a parallel ``map``/``imap``
 terminates the worker processes instead of hanging on the pool join, and a
 worker process that dies mid-job (OOM killer, segfault) breaks the pool;
@@ -329,18 +331,12 @@ class SerialExecutor(ExperimentExecutor):
         return _Lockstep(fn, list(jobs), LOCKSTEP_WIDTH).run()
 
     def imap(self, fn: Callable[[J], R], jobs: Sequence[J]) -> Iterator[R]:
-        # Lazy by design: a consumer that stops early (campaign --max-cells)
-        # must not compute the jobs it never asked for.
+        # Lazy by design: a serial campaign persists each cell before the
+        # next one starts, so Ctrl-C loses at most the cell in progress.
         return (fn(job) for job in jobs)
 
     def describe(self) -> str:
         return "serial"
-
-
-def _run_chunk(fn: Callable[[J], R], chunk: Sequence[J]) -> List[R]:
-    """Worker-side helper: apply *fn* to one chunk of jobs (module-level
-    so it pickles)."""
-    return [fn(job) for job in chunk]
 
 
 class ParallelExecutor(ExperimentExecutor):
@@ -361,24 +357,20 @@ class ParallelExecutor(ExperimentExecutor):
     ``map`` recreates it) and raises ``ExperimentInterrupted`` with the
     :class:`~concurrent.futures.process.BrokenProcessPool` as its cause.
 
+    Each job is one future: a worker pulls one job at a time.
+
     Parameters
     ----------
     jobs:
         Number of worker processes; ``None`` uses the machine's CPU count.
-    chunksize:
-        How many jobs each worker pulls at a time.  The default of 1 is right
-        for the harness's coarse jobs (one simulation repeat or GA run each).
     """
 
-    def __init__(self, jobs: Optional[int] = None, *, chunksize: int = 1) -> None:
+    def __init__(self, jobs: Optional[int] = None) -> None:
         if jobs is None:
             jobs = os.cpu_count() or 1
         if int(jobs) < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        if int(chunksize) < 1:
-            raise ConfigurationError(f"chunksize must be >= 1, got {chunksize}")
         self.jobs = int(jobs)
-        self.chunksize = int(chunksize)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._degraded = False
 
@@ -450,33 +442,28 @@ class ParallelExecutor(ExperimentExecutor):
         # telemetry envelope) reports per-job worker progress when a run
         # monitor is active; it too is the identity otherwise.
         worker_fn = _monitor_wrap(_telemetry_wrap(fn))
-        chunks = [
-            jobs[i : i + self.chunksize] for i in range(0, len(jobs), self.chunksize)
-        ]
-        futures = [self._pool.submit(_run_chunk, worker_fn, chunk) for chunk in chunks]
+        futures = [self._pool.submit(worker_fn, job) for job in jobs]
 
         def _stream() -> Iterator[R]:
             try:
                 for future in futures:
-                    for result in future.result():
-                        yield _telemetry_unwrap(result)
+                    yield _telemetry_unwrap(future.result())
             except (KeyboardInterrupt, BrokenProcessPool) as exc:
                 # Ctrl-C, or a worker died and broke the pool: every job still
-                # pending is lost, but the finished chunks are paid for.
-                partial = {}
-                for k, future in enumerate(futures):
-                    if future.done() and not future.cancelled() and future.exception() is None:
-                        for offset, result in enumerate(future.result()):
-                            partial[k * self.chunksize + offset] = _telemetry_unwrap(result)
+                # pending is lost, but the finished ones are paid for.
+                partial = {
+                    index: _telemetry_unwrap(future.result())
+                    for index, future in enumerate(futures)
+                    if future.done() and not future.cancelled() and future.exception() is None
+                }
                 self._terminate_workers()
                 cause = None if isinstance(exc, KeyboardInterrupt) else exc
                 raise ExperimentInterrupted(partial, len(jobs)) from cause
             except BaseException:
-                # The consumer abandoned the stream (GeneratorExit — e.g. the
-                # campaign runner stopping at --max-cells) or a job raised:
-                # every chunk was already submitted, so cancel the ones that
-                # have not started or they would all still be computed — and
-                # waited for — at pool shutdown.
+                # The consumer abandoned the stream (GeneratorExit) or a job
+                # raised: every job was already submitted, so cancel the ones
+                # that have not started or they would all still be computed —
+                # and waited for — at pool shutdown.
                 for future in futures:
                     future.cancel()
                 raise

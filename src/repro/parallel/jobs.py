@@ -52,11 +52,15 @@ __all__ = [
 def job_label(job: object) -> str:
     """A short human-readable label for any executor job (monitor display).
 
-    Understands every job shape the executors see — campaign cells,
+    Understands every job shape the executors see — campaign cells, groups
+    of them (a list, named by its first and last job and its size),
     comparison repeats and GA runs — and falls back to the type name for
     anything else, so the live monitor can always say *what* a worker is
     chewing on.
     """
+    if isinstance(job, list) and job:
+        first, last = job_label(job[0]), job_label(job[-1])
+        return first if len(job) == 1 else f"{first} .. {last} ({len(job)} jobs)"
     cell_id = getattr(job, "cell_id", None)
     if cell_id is not None:
         return str(cell_id)

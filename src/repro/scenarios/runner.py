@@ -300,7 +300,10 @@ class ScenarioMatrixResult:
         Deliberately separate from :meth:`signature`: wall-clock numbers vary
         between runs and machines, so they are persisted for performance
         trajectories but excluded from the serial-vs-parallel equality that
-        CI asserts bit-for-bit.
+        CI asserts bit-for-bit.  The rows of GA schedulers (PN, ZO) from a
+        campaign run on the process pool are not solo times: those cells
+        ran in lockstep groups, and their seconds include their
+        group-mates' turns (their store records carry ``group_cells``).
         """
         def row(agg: ScenarioAggregate) -> Dict[str, float]:
             entry = {

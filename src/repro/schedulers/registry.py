@@ -24,6 +24,7 @@ __all__ = [
     "ALL_SCHEDULER_NAMES",
     "IMMEDIATE_SCHEDULER_NAMES",
     "BATCH_SCHEDULER_NAMES",
+    "GA_SCHEDULER_NAMES",
     "make_scheduler",
     "make_all_schedulers",
 ]
@@ -34,6 +35,8 @@ ALL_SCHEDULER_NAMES: List[str] = ["EF", "LL", "RR", "ZO", "PN", "MM", "MX"]
 IMMEDIATE_SCHEDULER_NAMES: List[str] = ["EF", "LL", "RR"]
 #: The four batch-mode schedulers (three baselines plus the paper's PN).
 BATCH_SCHEDULER_NAMES: List[str] = ["MM", "MX", "ZO", "PN"]
+#: The batch-mode schedulers that run a genetic algorithm at every call.
+GA_SCHEDULER_NAMES: List[str] = ["ZO", "PN"]
 
 
 def make_scheduler(

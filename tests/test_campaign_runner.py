@@ -5,7 +5,10 @@ Load-bearing guarantees:
 * a campaign interrupted after k of n cells resumes to aggregates
   bit-identical to an uninterrupted run;
 * a warm-store rerun computes zero cells;
-* a crashed worker loses only its own cell: every finished cell is stored;
+* on the process pool, each GA scheduler's cells run as group jobs (a
+  lockstep map in one worker) with results equal to the serial run's;
+* a crashed worker loses only its job in flight, one cell or one group:
+  every finished job's cells are stored;
 * store hits are bit-identical to fresh computation, on both sim engines;
 * a manifest naming a retired backend option still resumes, with a warning;
 * campaign aggregates equal the direct ``run_scenario_matrix`` /
@@ -35,6 +38,7 @@ from repro.cli import main
 from repro.experiments import get_scale, sweep_ga_parameter
 from repro.parallel import ExperimentExecutor, ParallelExecutor
 from repro.scenarios import run_scenario_matrix
+from repro.telemetry import telemetry_session
 from repro.util.errors import ConfigurationError, ExperimentInterrupted
 
 
@@ -333,6 +337,151 @@ class _CrashOnce:
             time.sleep(2.0)
             os._exit(17)  # hard-kill this worker process mid-cell
         return run_campaign_cell(cell)
+
+
+@pytest.fixture(scope="module")
+def ga_spec():
+    """PN, ZO and EF on two scenarios, two repeats: 12 cells, 8 of them GA."""
+    return CampaignSpec(
+        name="ga-groups",
+        scale="smoke",
+        seed=7,
+        scenarios=("steady-state", "failure-storm"),
+        schedulers=("PN", "ZO", "EF"),
+        repeats=2,
+    )
+
+
+@pytest.fixture(scope="module")
+def ga_reference(ga_spec, tmp_path_factory):
+    """Aggregates of one uninterrupted serial run of *ga_spec*."""
+    result = run_campaign(ga_spec, ResultStore(tmp_path_factory.mktemp("ga-reference")))
+    assert result.complete
+    return result.aggregates
+
+
+def _ids(jobs):
+    return [[cell.cell_id for cell in job] for job in jobs]
+
+
+class TestPoolGroups:
+    """Under the process pool, each GA scheduler's cells run as group jobs."""
+
+    def test_groups_keep_cell_order_and_split_the_ga_cells_over_the_workers(self, ga_spec):
+        cells = expand_campaign(ga_spec).cells
+        pn = [c.cell_id for c in cells if "/PN/" in c.cell_id]
+        zo = [c.cell_id for c in cells if "/ZO/" in c.cell_id]
+        ef = [[c.cell_id] for c in cells if "/EF/" in c.cell_id]
+        # Eight GA cells on two workers: one group of four per scheduler,
+        # each where its first cell sits (cells 0 and 2).
+        assert _ids(runner_module._pool_jobs(cells, 2)) == [pn, zo] + ef
+        # On three workers at most three cells a group, in cell order; the
+        # second groups start at the second scenario's PN and ZO cells.
+        assert _ids(runner_module._pool_jobs(cells, 3)) == (
+            [pn[:3], zo[:3]] + ef[:2] + [pn[3:], zo[3:]] + ef[2:]
+        )
+        # No more GA cells than workers: every job is one cell.
+        assert _ids(runner_module._pool_jobs(cells, 8)) == [[c.cell_id] for c in cells]
+
+    def test_groups_are_capped_and_a_figure_keeps_its_place(self):
+        spec = CampaignSpec(
+            name="cap",
+            scale="smoke",
+            figures=("fig6",),
+            scenarios=("steady-state",),
+            schedulers=("PN", "EF"),
+            repeats=10,
+        )
+        cells = expand_campaign(spec).cells
+        ids = [c.cell_id for c in cells]
+        pn = [i for i in ids if "/PN/" in i]
+        # Ten PN cells on two workers would be groups of five: the cap keeps
+        # them to GROUP_CELLS (4), and the figure cell is still the first job.
+        assert runner_module.GROUP_CELLS == 4
+        assert _ids(runner_module._pool_jobs(cells, 2)) == (
+            [["figure:fig6"], pn[:4], pn[4:8], pn[8:]] + [[i] for i in ids if "/EF/" in i]
+        )
+
+    def test_serial_and_pool_aggregates_equal_the_direct_matrix(
+        self, ga_spec, ga_reference, tmp_path
+    ):
+        with ParallelExecutor(2) as executor:
+            pooled = run_campaign(ga_spec, ResultStore(tmp_path / "store"), executor=executor)
+        assert pooled.complete and pooled.computed == 12
+        assert pooled.aggregates == ga_reference
+        # A grouped cell's seconds include its group-mates' turns: its manifest
+        # entry and store record say how many cells shared the group.
+        assert {c["cell_id"]: c.get("group_cells") for c in pooled.cells} == {
+            c.cell_id: None if "/EF/" in c.cell_id else 4 for c in expand_campaign(ga_spec).cells
+        }
+        record = ResultStore(tmp_path / "store").get_record(expand_campaign(ga_spec).cells[0].key)
+        assert record["meta"]["group_cells"] == 4
+        direct = run_scenario_matrix(
+            ["steady-state", "failure-storm"],
+            scale=get_scale("smoke"),
+            schedulers=["PN", "ZO", "EF"],
+            repeats=2,
+            seed=7,
+        )
+        assert ga_reference["scenarios"] == direct.signature()
+
+    # The PN group of the whole run is cells 0, 1, 6 and 7: k = 7 stops inside
+    # it, k = 8 at its end; k = 3 cuts both GA schedulers' cells.
+    @pytest.mark.parametrize("k", [3, 7, 8])
+    def test_max_cells_on_the_pool_computes_exactly_k_and_resumes(
+        self, ga_spec, ga_reference, tmp_path, k
+    ):
+        store = ResultStore(tmp_path / "store")
+        with ParallelExecutor(2) as executor:
+            partial = run_campaign(ga_spec, store, executor=executor, max_cells=k)
+            assert partial.interrupted and partial.interrupt_reason == "max-cells"
+            statuses = [c["status"] for c in partial.cells]
+            assert statuses == ["computed"] * k + ["pending"] * (12 - k)
+            resumed = run_campaign(ga_spec, store, executor=executor)
+        assert resumed.complete
+        assert resumed.cached == k and resumed.computed == 12 - k
+        assert resumed.aggregates == ga_reference
+
+    def test_worker_crash_in_a_group_loses_only_that_group(
+        self, ga_spec, ga_reference, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(
+            runner_module,
+            "run_campaign_cell",
+            _CrashOnce("scenario:failure-storm/PN/r0", str(tmp_path / "crashed.flag")),
+        )
+        pn_group = [c.cell_id for c in expand_campaign(ga_spec).cells if "/PN/" in c.cell_id]
+        store = ResultStore(tmp_path / "store")
+        with ParallelExecutor(2) as executor:
+            partial = run_campaign(ga_spec, store, executor=executor)
+            assert partial.interrupted and partial.interrupt_reason == "worker-crash"
+            assert load_manifest(store, ga_spec.name)["interrupt_reason"] == "worker-crash"
+            # Every cell outside the crashed PN group reached the store.
+            lost = [c["cell_id"] for c in partial.cells if c["status"] != "computed"]
+            assert lost == pn_group
+            resumed = run_campaign(ga_spec, store, executor=executor)
+        assert resumed.complete
+        assert [c["cell_id"] for c in resumed.cells if c["status"] == "computed"] == pn_group
+        assert resumed.aggregates == ga_reference
+
+    def test_pool_run_stacks_the_ga_runs_of_pn_cells(self, ga_spec, tmp_path):
+        with telemetry_session() as session:
+            with ParallelExecutor(2) as executor:
+                result = run_campaign(ga_spec, ResultStore(tmp_path / "store"), executor=executor)
+        assert result.complete
+        by_id = {s.span_id: s for s in session.spans}
+
+        def cell_of(span):
+            while span is not None and not span.name.startswith("cell:"):
+                span = by_id.get(span.parent_id)
+            return span.name if span is not None else ""
+
+        stacked = [
+            s
+            for s in session.spans
+            if s.name == "ga:evolve" and s.attrs["stacked"] >= 2 and "/PN/" in cell_of(s)
+        ]
+        assert stacked and all(s.worker.startswith("pid-") for s in stacked)
 
 
 class TestAggregatesMatchDirectRuns:

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import functools
 from concurrent.futures.process import BrokenProcessPool
 
@@ -81,6 +82,32 @@ class TestParser:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_every_command_renders_its_help(self, capsys):
+        # argparse %-formats each help string when it renders --help, so a
+        # stray "%" in any of them crashes that command's help.
+        commands = [[]]
+        rendered = []
+        while commands:
+            argv = commands.pop()
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv + ["--help"])
+            assert exc.value.code == 0, argv
+            assert capsys.readouterr().out.startswith("usage:"), argv
+            rendered.append(" ".join(argv))
+            parser = build_parser()
+            for name in argv:
+                parser = _subcommands(parser)[name]
+            commands.extend(argv + [name] for name in _subcommands(parser))
+        assert {"", "campaigns run", "telemetry diff"} <= set(rendered)
+
+
+def _subcommands(parser):
+    """The subcommand parsers of *parser*, by name (empty for a leaf command)."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
 
 
 class TestMain:

@@ -207,6 +207,27 @@ class TestBatchedSwapMutation:
         assert i_pos.min() >= 0 and i_pos.max() < 7
         assert j_pos.min() >= 0 and j_pos.max() < 7
 
+    @pytest.mark.parametrize("pending_half", [False, True])
+    @pytest.mark.parametrize("length", [2, 3, 10, 59, 1049, 2**31 - 5, 2**32 - 7])
+    def test_draws_match_two_sized_integers_calls(self, length, pending_half):
+        # Contract stage 5 as first written: a block of first positions, then
+        # a block of partners.  The one-call draw must read the stream draw
+        # for draw and leave the generator where the two calls leave it, also
+        # when a 32-bit half of an earlier draw is still buffered.
+        for seed in range(30):
+            for n_rows, n_swaps in [(1, 1), (2, 1), (5, 1), (13, 1), (3, 2)]:
+                got_rng = np.random.default_rng(seed)
+                ref_rng = np.random.default_rng(seed)
+                if pending_half:
+                    got_rng.integers(0, 7)
+                    ref_rng.integers(0, 7)
+                i_pos, j_pos = draw_swap_positions(got_rng, n_rows, n_swaps, length)
+                ref_i = ref_rng.integers(0, length, size=(n_rows, n_swaps))
+                ref_j = ref_rng.integers(0, length - 1, size=(n_rows, n_swaps))
+                assert np.array_equal(i_pos, ref_i)
+                assert np.array_equal(j_pos, ref_j + (ref_j >= ref_i))
+                assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_too_short_chromosome_rejected(self):
         with pytest.raises(ConfigurationError):
             draw_swap_positions(np.random.default_rng(0), 1, 1, 1)

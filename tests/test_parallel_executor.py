@@ -72,6 +72,15 @@ def _hard_exit_on_zero(x):
     return x * x
 
 
+def _square_group(group):
+    """A group job: its jobs run as one lockstep map in the worker."""
+    return SerialExecutor().map(_square, group)
+
+
+def _repeat_group(group):
+    return SerialExecutor().map(run_comparison_repeat, group)
+
+
 def _uneven(x):
     # One slow job at the head of the list: later jobs finish first, yet
     # results must still come back in job order.
@@ -192,14 +201,14 @@ class TestExecutors:
         assert calls == [1]  # later jobs not computed until asked for
 
     def test_abandoned_imap_cancels_pending_chunks(self, tmp_path):
-        # A consumer that stops early (campaign --max-cells) must not leave
-        # the whole job list queued: close() would otherwise block until
-        # every submitted chunk has run.
+        # A consumer that stops early must not leave the whole job list
+        # queued: close() would otherwise block until every submitted job
+        # has run.
         jobs = [(i, str(tmp_path)) for i in range(40)]
         executor = ParallelExecutor(2)
         stream = executor.imap(_touch_marker, jobs)
         assert [next(stream) for _ in range(3)] == [0, 1, 2]
-        stream.close()  # cancels the not-yet-started chunks
+        stream.close()  # cancels the not-yet-started jobs
         executor.close()
         ran = len(list(tmp_path.glob("*.marker")))
         assert 3 <= ran < 40  # in-flight jobs may finish; the rest must not
@@ -245,12 +254,15 @@ class TestExecutors:
         assert executor.map(_square, [3, 4]) == [9, 16]
         executor.close()
 
-    @pytest.mark.parametrize("chunksize", [1, 3, 7])
-    def test_chunked_map_preserves_order(self, chunksize):
-        # 40 jobs do not divide into chunks of 3 or 7: the short last chunk
-        # must land at the end, nothing dropped or duplicated.
-        with ParallelExecutor(2, chunksize=chunksize) as executor:
-            assert executor.map(_square, list(range(40))) == [x * x for x in range(40)]
+    @pytest.mark.parametrize("size", [1, 3, 7])
+    def test_chunked_map_preserves_order(self, size):
+        # Group jobs co-locate work in one worker.  40 jobs do not divide
+        # into groups of 3 or 7: the short last group must land at the end,
+        # nothing dropped or duplicated.
+        groups = [list(range(i, min(i + size, 40))) for i in range(0, 40, size)]
+        with ParallelExecutor(2) as executor:
+            results = executor.map(_square_group, groups)
+        assert [y for group in results for y in group] == [x * x for x in range(40)]
 
     def test_uneven_job_costs_keep_job_order(self):
         with ParallelExecutor(2) as executor:
@@ -268,16 +280,6 @@ class TestExecutors:
                 handle.write("0")
             assert next(stream) is True
             assert list(stream) == []
-
-    def test_worker_crash_partials_are_keyed_by_job_index_across_chunks(self):
-        # Chunks of two: the crash loses job 0 and its chunk-mate 1, and the
-        # finished chunks map back to their jobs' indices, not chunk indices.
-        executor = ParallelExecutor(2, chunksize=2)
-        with pytest.raises(ExperimentInterrupted) as info:
-            executor.map(_hard_exit_on_zero, list(range(10)))
-        assert isinstance(info.value.__cause__, BrokenProcessPool)
-        assert info.value.partial == {x: x * x for x in range(2, 10)}
-        executor.close()
 
     def test_default_jobs_is_the_cpu_count(self):
         assert ParallelExecutor().jobs == (os.cpu_count() or 1)
@@ -308,8 +310,6 @@ class TestExecutors:
     def test_invalid_parallel_construction(self):
         with pytest.raises(ConfigurationError):
             ParallelExecutor(0)
-        with pytest.raises(ConfigurationError):
-            ParallelExecutor(2, chunksize=0)
 
     def test_scale_jobs_validated(self):
         with pytest.raises(Exception):
@@ -344,8 +344,11 @@ class TestComparisonJobDeterminism:
             for entropy in range(5)
         ]
         serial = SerialExecutor().map(run_comparison_repeat, jobs)
-        with ParallelExecutor(2, chunksize=2) as executor:
-            parallel = executor.map(run_comparison_repeat, jobs)
+        # Groups of two run as lockstep maps in the workers: their PN runs
+        # evolve stacked, bit-identical to the serial map's.
+        with ParallelExecutor(2) as executor:
+            groups = executor.map(_repeat_group, [jobs[0:2], jobs[2:4], jobs[4:5]])
+        parallel = [outcome for group in groups for outcome in group]
         assert [o.metrics for o in serial] == [o.metrics for o in parallel]
 
     def test_ga_job_is_self_contained(self, tiny_scale):

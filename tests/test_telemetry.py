@@ -23,7 +23,7 @@ import pytest
 
 from repro.cli import main
 from repro.cluster import heterogeneous_cluster
-from repro.parallel import ParallelExecutor, SerialExecutor, executor_from_jobs
+from repro.parallel import SerialExecutor, executor_from_jobs
 from repro.schedulers import EarliestFirstScheduler, MinMinScheduler
 from repro.schedulers.registry import make_scheduler
 from repro.sim import DistributedSystemSimulation, SimulationConfig, simulate_schedule
@@ -69,6 +69,11 @@ def _traced_square(x: int) -> int:
     """Module-level (picklable) worker that records one span per job."""
     with span(f"job:{x}", x=x):
         return x * x
+
+
+def _traced_square_group(group):
+    """Module-level group job: a lockstep map of :func:`_traced_square`."""
+    return SerialExecutor().map(_traced_square, group)
 
 
 class TestSpans:
@@ -446,19 +451,20 @@ class TestRNGInertness:
 class TestExecutorForwarding:
     """Span-tree integrity across the serial and process executors."""
 
-    @pytest.mark.parametrize("kind", ["serial", "process", "process-chunked"])
+    @pytest.mark.parametrize("kind", ["serial", "process", "process-group"])
     def test_results_and_tree_integrity(self, kind):
         jobs = list(range(8))
         expected = [x * x for x in jobs]
-        executor = {
-            "serial": SerialExecutor(),
-            "process": executor_from_jobs(2),
-            "process-chunked": ParallelExecutor(2, chunksize=3),
-        }[kind]
+        executor = SerialExecutor() if kind == "serial" else executor_from_jobs(2)
         with telemetry_session() as session:
             with span("root"):
                 with executor:
-                    results = executor.map(_traced_square, jobs)
+                    if kind == "process-group":
+                        # Groups of three, each a lockstep map in one worker.
+                        groups = executor.map(_traced_square_group, [jobs[:3], jobs[3:6], jobs[6:]])
+                        results = [y for group in groups for y in group]
+                    else:
+                        results = executor.map(_traced_square, jobs)
         assert results == expected
         assert validate_span_tree(session.spans) == []
         root = next(s for s in session.spans if s.name == "root")

@@ -11,6 +11,7 @@ import json
 import logging
 import os
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -209,6 +210,10 @@ class TestWorkerHeartbeats:
 
         assert job_label(WithCell()) == "scenario/EF/r0"
         assert job_label(object()) == "object"
+        # A group job (a list of cells) is named by its cells.
+        group = [SimpleNamespace(cell_id=f"scenario/PN/r{r}") for r in range(3)]
+        assert job_label(group) == "scenario/PN/r0 .. scenario/PN/r2 (3 jobs)"
+        assert job_label(group[:1]) == "scenario/PN/r0"
 
 
 @pytest.fixture
