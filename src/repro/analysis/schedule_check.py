@@ -70,20 +70,31 @@ def validate_trace(trace: ExecutionTrace, tasks: Optional[TaskSet] = None) -> Va
     * no two executions overlap on the same processor;
     * when *tasks* is given, recorded sizes match the submitted sizes and no
       task is dispatched before its arrival time.
+
+    Every check runs over the trace's columns; only violating records are
+    visited one by one, to word their issues.
     """
     report = ValidationReport()
+    ids = trace.column("task_id")
+    procs = trace.column("proc_id")
+    sizes = trace.column("size_mflops")
+    arrival = trace.column("arrival_time")
+    assigned = trace.column("assigned_time")
+    dispatch = trace.column("dispatch_time")
+    start = trace.column("exec_start")
+    end = trace.column("exec_end")
 
     # -- uniqueness / coverage ---------------------------------------------------------
     report.checks_run += 1
-    seen_ids = [record.task_id for record in trace]
-    if len(set(seen_ids)) != len(seen_ids):
-        duplicates = sorted({tid for tid in seen_ids if seen_ids.count(tid) > 1})
+    unique, counts = np.unique(ids, return_counts=True)
+    if unique.size != ids.size:
+        duplicates = unique[counts > 1].tolist()
         report.add("duplicate-task", f"tasks executed more than once: {duplicates}")
 
     if tasks is not None:
         report.checks_run += 1
         submitted = set(tasks.task_ids)
-        executed = set(seen_ids)
+        executed = set(unique.tolist())
         missing = submitted - executed
         unknown = executed - submitted
         if missing:
@@ -93,47 +104,58 @@ def validate_trace(trace: ExecutionTrace, tasks: Optional[TaskSet] = None) -> Va
 
     # -- per-record consistency -----------------------------------------------------------
     report.checks_run += 1
-    for record in trace:
-        ordered = (
-            record.arrival_time
-            <= record.assigned_time + TIME_EPS
-            and record.assigned_time <= record.dispatch_time + TIME_EPS
-            and record.dispatch_time <= record.exec_start + TIME_EPS
-            and record.exec_start <= record.exec_end + TIME_EPS
-        )
-        if not ordered:
+    disordered = ~(
+        (arrival <= assigned + TIME_EPS)
+        & (assigned <= dispatch + TIME_EPS)
+        & (dispatch <= start + TIME_EPS)
+        & (start <= end + TIME_EPS)
+    )
+    resized = early = np.zeros(ids.size, dtype=bool)
+    if tasks is not None and len(tasks):
+        # Each record's submitted task (its slot in *tasks*), where there is one.
+        submitted_ids = np.asarray(tasks.task_ids, dtype=np.int64)
+        by_id = np.argsort(submitted_ids)
+        found = np.searchsorted(submitted_ids, ids, sorter=by_id)
+        slot = by_id[np.minimum(found, by_id.size - 1)]
+        known = submitted_ids[slot] == ids
+        submitted_size = tasks.sizes()[slot]
+        submitted_arrival = tasks.arrival_times()[slot]
+        resized = known & (np.abs(submitted_size - sizes) > TIME_EPS)
+        early = known & (dispatch + TIME_EPS < submitted_arrival)
+    for i in np.flatnonzero(disordered | resized | early).tolist():
+        task_id = int(ids[i])
+        if disordered[i]:
             report.add(
                 "record-ordering",
-                f"task {record.task_id}: inconsistent times "
-                f"({record.arrival_time}, {record.assigned_time}, {record.dispatch_time}, "
-                f"{record.exec_start}, {record.exec_end})",
+                f"task {task_id}: inconsistent times "
+                f"({float(arrival[i])}, {float(assigned[i])}, {float(dispatch[i])}, "
+                f"{float(start[i])}, {float(end[i])})",
             )
-        if tasks is not None and record.task_id in tasks:
-            task = tasks.get(record.task_id)
-            if abs(task.size_mflops - record.size_mflops) > TIME_EPS:
-                report.add(
-                    "size-mismatch",
-                    f"task {record.task_id}: submitted {task.size_mflops} MFLOPs but "
-                    f"recorded {record.size_mflops}",
-                )
-            if record.dispatch_time + TIME_EPS < task.arrival_time:
-                report.add(
-                    "dispatch-before-arrival",
-                    f"task {record.task_id} dispatched at {record.dispatch_time} "
-                    f"before its arrival at {task.arrival_time}",
-                )
+        if resized[i]:
+            report.add(
+                "size-mismatch",
+                f"task {task_id}: submitted {float(submitted_size[i])} MFLOPs but "
+                f"recorded {float(sizes[i])}",
+            )
+        if early[i]:
+            report.add(
+                "dispatch-before-arrival",
+                f"task {task_id} dispatched at {float(dispatch[i])} "
+                f"before its arrival at {float(submitted_arrival[i])}",
+            )
 
     # -- no overlapping executions on one processor -----------------------------------------
     report.checks_run += 1
-    for proc in range(trace.n_processors):
-        records = trace.records_for(proc)
-        for earlier, later in zip(records, records[1:]):
-            if later.exec_start + TIME_EPS < earlier.exec_end:
-                report.add(
-                    "overlap",
-                    f"processor {proc}: task {later.task_id} starts at {later.exec_start} "
-                    f"before task {earlier.task_id} ends at {earlier.exec_end}",
-                )
+    # By processor, then by start; equal starts keep record order.
+    order = np.lexsort((start, procs))
+    earlier, later = order[:-1], order[1:]
+    overlaps = (procs[earlier] == procs[later]) & (start[later] + TIME_EPS < end[earlier])
+    for e, l in zip(earlier[overlaps].tolist(), later[overlaps].tolist()):
+        report.add(
+            "overlap",
+            f"processor {int(procs[e])}: task {int(ids[l])} starts at {float(start[l])} "
+            f"before task {int(ids[e])} ends at {float(end[e])}",
+        )
     return report
 
 

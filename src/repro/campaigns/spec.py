@@ -17,6 +17,7 @@ from typing import Dict, Optional, Tuple
 
 from ..experiments.config import ExperimentScale, SCALES, get_scale
 from ..experiments.figures import FIGURES
+from ..experiments.sweep import require_ga_field
 from ..scenarios.registry import scenario_names
 from ..schedulers.registry import ALL_SCHEDULER_NAMES
 from ..util.errors import ConfigurationError
@@ -50,6 +51,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.parameter or not str(self.parameter).strip():
             raise ConfigurationError("sweep parameter must be non-empty")
+        require_ga_field(self.parameter)
         object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise ConfigurationError(

@@ -44,7 +44,7 @@ import hashlib
 import json
 import os
 import time
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -63,7 +63,10 @@ __all__ = [
 #: Bump on any change to simulation/GA semantics, RNG draw order or metric
 #: definitions — anything that makes the same spec produce different bits.
 #: ``"2"``: the GA, sim and policy backend fields left the job specs.
-CODE_CONTRACT_VERSION = "2"
+#: ``"3"``: ``GAConfig`` lost ``backend``, ``time_limit_seconds`` and
+#: ``target_makespan``; ``SimulationConfig`` lost ``comm_nu``, ``rate_nu``
+#: and ``time_horizon``.
+CODE_CONTRACT_VERSION = "3"
 
 #: Format stamp of the on-disk record and index files.
 STORE_FORMAT_VERSION = 1
@@ -365,11 +368,3 @@ class ResultStore:
             if filename.endswith(".json") and not filename.endswith(".status.json"):
                 names.append(filename[: -len(".json")])
         return names
-
-
-def iter_record_paths(store: ResultStore) -> Iterable[str]:
-    """Every record file path in *store* (testing / maintenance helper)."""
-    for dirpath, _, filenames in os.walk(store.objects_dir):
-        for filename in filenames:
-            if filename.endswith(".json"):
-                yield os.path.join(dirpath, filename)

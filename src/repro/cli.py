@@ -861,9 +861,10 @@ def _run_campaign_from_spec(spec: CampaignSpec, store: ResultStore, args) -> int
 
 
 def _cmd_campaigns_run(args: argparse.Namespace) -> int:
-    store = ResultStore(args.store)
+    # Build the spec first: one it rejects (say, a sweep over a name that is
+    # not a GAConfig field) never creates the store.
     spec = _campaign_spec_from_args(args)
-    return _run_campaign_from_spec(spec, store, args)
+    return _run_campaign_from_spec(spec, ResultStore(args.store), args)
 
 
 def _cmd_campaigns_resume(args: argparse.Namespace) -> int:

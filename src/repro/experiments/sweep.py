@@ -9,7 +9,7 @@ problem so the benchmarks can report how much each choice matters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
 
 
@@ -31,6 +31,7 @@ __all__ = [
     "aggregate_sweep_outcomes",
     "build_sweep_jobs",
     "make_benchmark_problem",
+    "require_ga_field",
     "sweep_ga_parameter",
 ]
 
@@ -67,6 +68,16 @@ class SweepResult:
     def makespans(self) -> Dict[object, float]:
         """Mean makespan per parameter value."""
         return {p.value: p.makespan.mean for p in self.points}
+
+
+def require_ga_field(parameter: str) -> None:
+    """Reject a swept *parameter* that is not a :class:`GAConfig` field.
+
+    Checked against the dataclass fields, not ``hasattr``: a method such as
+    ``selection_operator`` is an attribute but cannot be set.
+    """
+    if parameter not in {f.name for f in fields(GAConfig)}:
+        raise ConfigurationError(f"GAConfig has no field named {parameter!r}")
 
 
 def make_benchmark_problem(
@@ -116,8 +127,7 @@ def build_sweep_jobs(
         max_generations=scale.convergence_generations,
         n_rebalances=1,
     )
-    if not hasattr(base, parameter):
-        raise ConfigurationError(f"GAConfig has no field named {parameter!r}")
+    require_ga_field(parameter)
 
     # Pre-draw one problem and one GA seed per repeat so every swept value sees
     # identical conditions.

@@ -21,11 +21,9 @@ from .encoding import (
 )
 from .engine import GAConfig, GAResult, GAStopReason, GeneticAlgorithm
 from .kernels import (
-    BACKEND_NAMES,
     KernelBackend,
     LoopBackend,
     VectorizedBackend,
-    backend_from_name,
     cycle_crossover_batch,
     decode_population,
     draw_swap_positions,
@@ -106,11 +104,9 @@ __all__ = [
     "rebalance_assignment",
     "rebalance_many",
     # kernels
-    "BACKEND_NAMES",
     "KernelBackend",
     "LoopBackend",
     "VectorizedBackend",
-    "backend_from_name",
     "cycle_crossover_batch",
     "decode_population",
     "draw_swap_positions",

@@ -6,22 +6,17 @@ queues.  Each generation performs, in order:
 1. fitness evaluation of the current population (relative error vs ψ);
 2. the re-balancing heuristic on every individual (``n_rebalances`` times,
    accepted only when the schedule's error improves);
-3. bookkeeping of the best individual (lowest makespan) and the stopping
-   tests (target makespan reached, external stop signal such as "a processor
-   is about to become idle", generation limit, wall-clock limit);
+3. bookkeeping of the best individual (lowest makespan) and the generation
+   limit, the one stopping test;
 4. construction of the next generation by roulette-wheel selection, cycle
    crossover and random swap mutation, with elitism re-inserting the best
    individual found so far.
 
 The population-level work of each generation — decoding, re-balancing,
-crossover and mutation — is delegated to a pluggable kernel backend
-(:mod:`repro.ga.kernels`): ``"vectorized"`` (the default) batches every
-operator over the whole population matrix with NumPy, ``"loop"`` is the
-per-individual reference implementation.  Both follow the same RNG
-draw-order contract, so for a fixed seed they evolve bit-identical
-populations wherever the operators are deterministic given their draws
-(cycle crossover, swap mutation); the re-balancing heuristic's draws are
-value-dependent and match in distribution instead.
+crossover and mutation — runs on the whole-population NumPy kernels of
+:class:`~repro.ga.kernels.VectorizedBackend`.  The per-individual
+:class:`~repro.ga.kernels.LoopBackend` follows the same RNG draw-order
+contract and is the test oracle the kernels are held to.
 
 Stacked runs
 ------------
@@ -33,8 +28,6 @@ lockstep map (:class:`repro.parallel.SerialExecutor`) the call waits until
 every job of the map waits, and the waiting runs of equal config and shape
 then evolve together.  Each problem keeps its own generator and makes
 exactly its solo draws, so every result is bit-identical to the solo run.
-Runs with a time limit or a target makespan, and ``backend="loop"`` runs,
-always run alone.
 """
 
 from __future__ import annotations
@@ -50,16 +43,11 @@ from ..telemetry import PhaseTimer
 from ..util.errors import ConfigurationError
 from ..util.lockstep import batched
 from ..util.rng import RNGLike, ensure_rng
-from ..util.validation import (
-    require_at_least,
-    require_non_negative,
-    require_positive_int,
-    require_probability,
-)
+from ..util.validation import require_at_least, require_positive_int, require_probability
 from .crossover import CrossoverOperator, crossover_from_name
 from .encoding import decode_assignment, decode_queues
 from .fitness import evaluate_assignments
-from .kernels import BACKEND_NAMES, KernelBackend, VectorizedBackend, backend_from_name
+from .kernels import VectorizedBackend
 from .population import random_population, seeded_population
 from .problem import BatchProblem, ProblemGroup
 from .selection import SelectionOperator, selection_from_name
@@ -71,8 +59,11 @@ class GAStopReason(enum.Enum):
     """Why the GA stopped evolving."""
 
     MAX_GENERATIONS = "max_generations"
-    TARGET_MAKESPAN = "target_makespan"
-    TIME_LIMIT = "time_limit"
+
+
+#: The kernels every run evolves on.  Tests patch in
+#: :class:`~repro.ga.kernels.LoopBackend` to hold whole runs to the reference.
+_KERNELS = VectorizedBackend()
 
 
 @dataclass
@@ -95,15 +86,8 @@ class GAConfig:
     random_init_fraction: float = 0.5
     seeded_initialisation: bool = True
     elitism: int = 1
-    target_makespan: Optional[float] = None
-    time_limit_seconds: Optional[float] = None
     selection: Union[str, SelectionOperator] = "roulette"
     crossover: Union[str, CrossoverOperator] = "cycle"
-    #: Kernel backend driving the per-generation population transforms:
-    #: ``"vectorized"`` (whole-population NumPy kernels, the default) or
-    #: ``"loop"`` (the per-individual reference implementation).  See
-    #: :mod:`repro.ga.kernels` for the RNG draw-order contract relating them.
-    backend: str = "vectorized"
 
     def __post_init__(self) -> None:
         require_positive_int(self.population_size, "population_size")
@@ -119,18 +103,6 @@ class GAConfig:
         require_at_least(self.elitism, 0, "elitism")
         if self.elitism >= self.population_size:
             raise ConfigurationError("elitism must be smaller than the population size")
-        if self.target_makespan is not None:
-            require_non_negative(self.target_makespan, "target_makespan")
-        if self.time_limit_seconds is not None:
-            require_non_negative(self.time_limit_seconds, "time_limit_seconds")
-        if not isinstance(self.backend, str) or self.backend.strip().lower() not in BACKEND_NAMES:
-            raise ConfigurationError(
-                f"unknown GA backend {self.backend!r}; expected one of {sorted(BACKEND_NAMES)}"
-            )
-
-    def kernel_backend(self) -> KernelBackend:
-        """The configured kernel backend instance."""
-        return backend_from_name(self.backend)
 
     def selection_operator(self) -> SelectionOperator:
         """The configured selection operator instance."""
@@ -201,21 +173,11 @@ class GeneticAlgorithm:
         self._rng = ensure_rng(rng)
         self._selection = self.config.selection_operator()
         self._crossover = self.config.crossover_operator()
-        self._backend = self.config.kernel_backend()
-
-    @property
-    def backend(self) -> KernelBackend:
-        """The kernel backend driving this engine's population transforms."""
-        return self._backend
 
     # -- main loop --------------------------------------------------------------------
     def evolve(self, problem: BatchProblem) -> GAResult:
         """Run the GA on *problem* and return the best schedule found."""
-        run = _Run(self, problem)
-        if run.stackable():
-            result = batched(_evolve_batch, run)
-        else:
-            result = _evolve_group([run])[0]
+        result = batched(_evolve_batch, _Run(self, problem))
         # One span subtree per GA run when telemetry is on (no-op otherwise),
         # flushed from the caller's thread so it nests under the caller's span:
         # the per-phase attribution the figure-4 analysis reads from
@@ -235,15 +197,6 @@ class _Run(NamedTuple):
 
     engine: GeneticAlgorithm
     problem: BatchProblem
-
-    def stackable(self) -> bool:
-        """Whether the run may evolve in a group: nothing can stop it early."""
-        cfg = self.engine.config
-        return (
-            cfg.target_makespan is None
-            and cfg.time_limit_seconds is None
-            and isinstance(self.engine.backend, VectorizedBackend)
-        )
 
     def stacks_with(self, other: "_Run") -> bool:
         """Whether the two runs may share one stacked population."""
@@ -291,7 +244,7 @@ def _evolve_group(runs: Sequence[_Run]) -> List[GAResult]:
     """
     lead = runs[0].engine
     cfg = lead.config
-    backend, selection, crossover = lead.backend, lead._selection, lead._crossover
+    backend, selection, crossover = _KERNELS, lead._selection, lead._crossover
     n_runs, pop = len(runs), cfg.population_size
     group = ProblemGroup([run.problem for run in runs], pop)
     rngs = [run.engine._rng for run in runs]
@@ -310,7 +263,6 @@ def _evolve_group(runs: Sequence[_Run]) -> List[GAResult]:
     # Per generation and run: the best makespan so far and the fitness sum.
     makespan_history = np.empty((cfg.max_generations, n_runs))
     fitness_sums = np.empty((cfg.max_generations, n_runs))
-    stop_reason = GAStopReason.MAX_GENERATIONS
     generation = 0
 
     def keep_best(result) -> None:
@@ -362,17 +314,7 @@ def _evolve_group(runs: Sequence[_Run]) -> List[GAResult]:
         fitness_rows = result.fitness.reshape(n_runs, pop)
         np.add.reduce(fitness_rows, axis=1, out=fitness_sums[generation - 1])
 
-        elapsed = _time.perf_counter() - start
-
-        # -- stopping conditions (Sect. 3.4) --------------------------------------
-        if cfg.target_makespan is not None and best_makespan.max() <= cfg.target_makespan:
-            stop_reason = GAStopReason.TARGET_MAKESPAN
-            break
-        if cfg.time_limit_seconds is not None and elapsed >= cfg.time_limit_seconds:
-            stop_reason = GAStopReason.TIME_LIMIT
-            break
         if generation >= cfg.max_generations:
-            stop_reason = GAStopReason.MAX_GENERATIONS
             break
 
         # -- next generation --------------------------------------------------------
@@ -416,7 +358,7 @@ def _evolve_group(runs: Sequence[_Run]) -> List[GAResult]:
                 initial_best_makespan=float(initial_best[k]),
                 psi=problem.optimal_time(),
                 generations=generation,
-                stop_reason=stop_reason,
+                stop_reason=GAStopReason.MAX_GENERATIONS,
                 makespan_history=makespans_by_run[k],
                 mean_fitness_history=mean_fitness_by_run[k],
                 wall_time_seconds=wall_share,

@@ -1,4 +1,4 @@
-"""Population-batched GA operator kernels and the backend abstraction.
+"""Population-batched GA operator kernels and their per-individual reference.
 
 The GA engine spends its generations in four operator stages — selection,
 crossover, mutation, re-balancing — plus chromosome decoding.  The original
@@ -8,14 +8,17 @@ time in Python; this module batches every stage over the whole
 that made fitness evaluation tractable (one ``bincount`` per population in
 :mod:`repro.ga.fitness`).
 
-Two interchangeable backends implement the per-generation work:
+Two backends implement the per-generation work:
 
-* :class:`LoopBackend` (``"loop"``) — the reference implementation: operators
-  are applied per individual / per pair with the original operator functions;
-* :class:`VectorizedBackend` (``"vectorized"``, the default) — whole-population
-  array kernels: cycle crossover via flat-index pointer doubling, batched
-  swap application, and a rebalance that scores every probe slot of a round
-  at once from the completion times it already holds.
+* :class:`VectorizedBackend` — the kernels every GA run evolves on:
+  whole-population array kernels, with cycle crossover via flat-index
+  pointer doubling, batched swap application, and a rebalance that scores
+  every probe slot of a round at once from the completion times it already
+  holds;
+* :class:`LoopBackend` — the reference implementation the kernels are
+  tested against: operators are applied per individual / per pair with the
+  original operator functions.  No experiment runs on it; tests build it
+  directly (and patch it into the engine to evolve whole runs on it).
 
 A population of 20 chromosomes of ~20 genes is tiny, so these kernels cost
 what their NumPy calls cost, not what their arithmetic costs: they are
@@ -81,11 +84,9 @@ from .mutation import apply_position_swaps, rebalance_many
 from .problem import ProblemGroup
 
 __all__ = [
-    "BACKEND_NAMES",
     "KernelBackend",
     "LoopBackend",
     "VectorizedBackend",
-    "backend_from_name",
     "cycle_crossover_batch",
     "cycle_labels",
     "decode_population",
@@ -93,10 +94,6 @@ __all__ = [
     "swap_positions_batch",
     "rebalance_group",
 ]
-
-#: Valid backend names, in documentation order.
-BACKEND_NAMES: Tuple[str, ...] = ("loop", "vectorized")
-
 
 # ---------------------------------------------------------------------------
 # Shared draw helpers (the draw-order contract)
@@ -409,8 +406,6 @@ class KernelBackend(ABC):
     only implement how the drawn operations are *applied* to the matrix.
     """
 
-    name: str = "backend"
-
     @abstractmethod
     def decode(self, population: np.ndarray, group: ProblemGroup) -> np.ndarray:
         """Decode the ``(K·P, L)`` chromosome matrix into ``(K·P, H)`` assignments."""
@@ -525,8 +520,6 @@ class KernelBackend(ABC):
 class LoopBackend(KernelBackend):
     """Reference backend: per-individual Python loops over the original operators."""
 
-    name = "loop"
-
     def decode(self, population: np.ndarray, group: ProblemGroup) -> np.ndarray:
         return np.vstack(
             [
@@ -600,8 +593,6 @@ class LoopBackend(KernelBackend):
 class VectorizedBackend(KernelBackend):
     """Array-native backend: every stage operates on the whole population matrix."""
 
-    name = "vectorized"
-
     def decode(self, population: np.ndarray, group: ProblemGroup) -> np.ndarray:
         return decode_population(population, group.n_tasks, group.n_processors)
 
@@ -648,16 +639,3 @@ class VectorizedBackend(KernelBackend):
         j_pos: np.ndarray,
     ) -> None:
         swap_positions_batch(population, rows, i_pos, j_pos)
-
-
-_BACKENDS = {"loop": LoopBackend, "vectorized": VectorizedBackend}
-
-
-def backend_from_name(name: str) -> KernelBackend:
-    """Construct a kernel backend by name (``loop`` or ``vectorized``)."""
-    key = name.strip().lower()
-    if key not in _BACKENDS:
-        raise ConfigurationError(
-            f"unknown GA backend {name!r}; expected one of {sorted(_BACKENDS)}"
-        )
-    return _BACKENDS[key]()

@@ -14,9 +14,10 @@ scheduling library built on the same abstractions:
   most if denied its best processor (largest difference between its best and
   second-best completion times).
 
-These are *not* part of the paper's figures; they are exposed through
+These are *not* part of the paper's figures (nor of the scheduler shoot-out
+example, which runs the paper's seven); they are exposed through
 ``EXTENDED_SCHEDULER_NAMES`` for users who want a broader comparison and are
-exercised by the extension tests and the scheduler shoot-out example.
+exercised by the extension, policy-kernel and wave-parity tests.
 """
 
 from __future__ import annotations

@@ -45,7 +45,6 @@ def make_scheduler(
     n_processors: int,
     batch_size: int = 200,
     max_generations: int = 1000,
-    dynamic_batch: bool = True,
     rng: RNGLike = None,
 ) -> Scheduler:
     """Construct one of the paper's schedulers by its two-letter label.
@@ -58,13 +57,10 @@ def make_scheduler(
     n_processors:
         Number of processors in the target system (needed by PN).
     batch_size:
-        Fixed batch size used by the batch-mode baselines (MM, MX, ZO) and by
-        PN when ``dynamic_batch`` is False.
+        Fixed batch size of the batch-mode baselines (MM, MX, ZO); PN's
+        dynamic batch-size rule starts from it and never exceeds it.
     max_generations:
         Generation limit of the GA schedulers (ZO and PN).
-    dynamic_batch:
-        Whether PN uses the paper's dynamic batch-size rule (True) or the
-        same fixed batch size as the baselines (False).
     rng:
         Randomness source passed to the GA schedulers.
     """
@@ -87,22 +83,17 @@ def make_scheduler(
         )
     if key == "PN":
         # Imported lazily: repro.core depends on repro.schedulers.base.
-        from ..core.batching import DynamicBatchSizer, FixedBatchSizer
+        from ..core.batching import DynamicBatchSizer
         from ..core.pn_scheduler import PNScheduler, default_pn_ga_config
 
-        batch_sizer = (
-            DynamicBatchSizer(
-                min_batch=min(10, batch_size),
-                max_batch=batch_size,
-                initial_batch=batch_size,
-            )
-            if dynamic_batch
-            else FixedBatchSizer(batch_size=batch_size)
-        )
         return PNScheduler(
             n_processors=n_processors,
             ga_config=default_pn_ga_config(max_generations=max_generations),
-            batch_sizer=batch_sizer,
+            batch_sizer=DynamicBatchSizer(
+                min_batch=min(10, batch_size),
+                max_batch=batch_size,
+                initial_batch=batch_size,
+            ),
             rng=rng,
         )
     raise ConfigurationError(
@@ -115,7 +106,6 @@ def make_all_schedulers(
     n_processors: int,
     batch_size: int = 200,
     max_generations: int = 1000,
-    dynamic_batch: bool = True,
     rng: RNGLike = None,
     names: Optional[List[str]] = None,
 ) -> Dict[str, Scheduler]:
@@ -127,7 +117,6 @@ def make_all_schedulers(
             n_processors=n_processors,
             batch_size=batch_size,
             max_generations=max_generations,
-            dynamic_batch=dynamic_batch,
             rng=rng,
         )
         for name in selected

@@ -70,7 +70,7 @@ def _initial_time(time: float, now: float) -> float:
 
 
 def run_events(sim: "DistributedSystemSimulation") -> Tuple[float, int]:
-    """Run *sim* to completion (or its time horizon) event by event.
+    """Run *sim* to completion event by event.
 
     Returns ``(end_time, events_processed)``.  The clock persists on the
     simulation across calls, so running a finished simulation again fails
@@ -81,9 +81,6 @@ def run_events(sim: "DistributedSystemSimulation") -> Tuple[float, int]:
     master = sim.master
     workers = sim.workers
     max_events = sim.config.max_events
-    horizon = sim.config.time_horizon
-    if horizon is None:
-        horizon = float("inf")
     now = sim._clock
 
     heap = [
@@ -138,8 +135,6 @@ def run_events(sim: "DistributedSystemSimulation") -> Tuple[float, int]:
             if code == _COMPLETION and live[payload] != seq:
                 skipped += 1  # cancelled by a failure: never handled or counted
                 continue
-            if t > horizon:
-                break
             if t < now - 1e-9:
                 raise SimulationError(f"event at t={t} is earlier than current time {now}")
             if t > now:
@@ -224,8 +219,6 @@ def run_events(sim: "DistributedSystemSimulation") -> Tuple[float, int]:
             else:
                 wake = False
                 if code == _SPIKE:
-                    # Counted when delivered, so a time horizon that cuts the
-                    # run short never claims injections that never happened.
                     sim._injected += len(payload)
                     unscheduled.extend(payload)
                     sample_queues(t)

@@ -30,21 +30,17 @@ times:
    per-dispatch cost into two float operations, preserving both the values
    and the one-draw-per-dispatch stream consumption of the event path.
 
-3. **Batched terminal drain.**  Once every task has arrived and been
-   assigned (no unscheduled work remains and no follow-up is pending), no
-   scheduler invocation can ever run again: the remainder of the simulation
-   is each worker draining a fixed queue, and the master's and policy's
-   feedback observations can no longer influence any result.  The replay
-   stops paying for them and computes per-worker fetch/completion timelines
-   directly — cumulative sums of ``comm + exec`` durations, accumulated per
-   worker in the engine's exact operation order so every intermediate float
-   rounds identically.  When every remaining per-dispatch cost and rate is
-   deterministic, each worker's whole timeline is precomputed from a
-   vectorised ``sizes / rate`` array and only an order-only merge remains;
-   with stochastic links the draws must stay in global dispatch order (each
-   cost is one draw from the *shared* network stream), so the drain
-   interleaves workers through the same tiny completion heap while still
-   skipping all dead bookkeeping.
+3. **Terminal drain.**  Once every task has arrived and been assigned (no
+   unscheduled work remains and no follow-up is pending), no scheduler
+   invocation can ever run again: the remainder of the simulation is each
+   worker draining a fixed queue, and the master's and policy's feedback
+   observations can no longer influence any result.  The replay stops
+   paying for them and for the follow-up events, and drains the queues one
+   completion at a time through the tiny completion heap, accumulating each
+   worker's ``comm + exec`` durations in the engine's exact operation order
+   so every intermediate float rounds identically.  The draws stay in global
+   dispatch order (each cost is one draw from the *shared* network stream),
+   and zero-cost or zero-variance links give the same bits as any other.
 
 RNG contract: the replay consumes the network stream draw-for-draw in the
 event loop's dispatch order, through the sampler both loops share
@@ -52,9 +48,8 @@ event loop's dispatch order, through the sampler both loops share
 links never draw (``sample_cost`` short circuits) and zero-variance links
 draw a value that is exactly the mean.  The only divergence from
 ``sample_cost`` is the *final stream position*: block pre-drawing can leave
-unused draws, and the all-deterministic drain elides draws whose values
-cannot affect any result.  The stream is private to communication sampling,
-so no result can observe the difference.
+unused draws.  The stream is private to communication sampling, so no
+result can observe the difference.
 """
 
 from __future__ import annotations
@@ -63,8 +58,6 @@ import heapq
 from collections import deque
 from time import perf_counter
 from typing import TYPE_CHECKING, List, Tuple
-
-import numpy as np
 
 from ..util.errors import SimulationError
 
@@ -218,7 +211,6 @@ def run_static_replay(sim: "DistributedSystemSimulation") -> Tuple[float, int]:
     workers = sim.workers
     trace = sim.trace
     max_events = sim.config.max_events
-    horizon = sim.config.time_horizon
     tasks = list(sim.tasks)
     n = len(tasks)
 
@@ -298,7 +290,7 @@ def run_static_replay(sim: "DistributedSystemSimulation") -> Tuple[float, int]:
 
     # -- phase 1: faithful merge loop while scheduling decisions can still occur --
     while True:
-        if not fifo and ai == n and not master.unscheduled and horizon is None:
+        if not fifo and ai == n and not master.unscheduled:
             break  # no invocation can ever run again: switch to the drain
 
         # Select the next event by the engine's (time, seq) order.
@@ -323,9 +315,7 @@ def run_static_replay(sim: "DistributedSystemSimulation") -> Tuple[float, int]:
                 best_s = head[1]
                 src = 2
         if src < 0:
-            break  # queue drained (only possible with a horizon or no work)
-        if horizon is not None and best_t > horizon:
-            break
+            break  # nothing left to pop: work is stuck unscheduled
         if best_t > now:
             now = best_t
 
@@ -401,30 +391,18 @@ def run_static_replay(sim: "DistributedSystemSimulation") -> Tuple[float, int]:
             raise budget_error(max_events)
 
     flush_records()
-    if horizon is not None or not comp:
+    if not comp:
         return now, processed
 
     # -- phase 2: terminal drain ------------------------------------------------------
     # Remaining work: each worker finishes its in-flight task and drains its
     # fixed master-side queue.  Feedback observations are dead from here on.
-    deterministic_drain = all(
-        plans[proc][0] in (_NEVER_DRAWS, _DRAWS_CONSTANT)
-        and const_rates[proc] is not None
-        for proc in inflight
-    )
     remaining = sum(1 + len(master.proc_queues[p]) for p in inflight)
-    within_budget = processed + 2 * remaining <= max_events
-    if not within_budget:
-        deterministic_drain = False  # sequential drain raises at the exact event
-
     drain_start = 0.0 if phases is None else perf_counter()
-    if deterministic_drain:
-        now = _drain_deterministic(sim, comp, inflight, plans, const_rates, seq, now)
-    else:
-        now = _drain_sequential(
-            sim, comp, inflight, plans, const_rates, normals, seq, processed, now,
-            check_budget=not within_budget,
-        )
+    now = _drain_sequential(
+        sim, comp, inflight, plans, const_rates, normals, seq, processed, now,
+        check_budget=processed + 2 * remaining > max_events,
+    )
     if phases is not None:
         phases["drain"] += perf_counter() - drain_start
     return now, processed + 2 * remaining
@@ -445,9 +423,8 @@ def _drain_sequential(
 ) -> float:
     """Drain the remaining fixed queues one completion at a time.
 
-    Needed whenever per-dispatch communication costs (or rates) are
-    stochastic: each cost is one draw from the shared network stream, taken
-    in global dispatch order, so workers must interleave exactly as the
+    Each communication cost is one draw from the shared network stream,
+    taken in global dispatch order, so workers interleave exactly as the
     event loop would.  ``check_budget`` is only set when the caller could
     not prove up front that the event budget covers the whole drain.
     """
@@ -542,116 +519,4 @@ def _drain_sequential(
                 raise budget_error(max_events)
 
     flush()
-    return now
-
-
-def _drain_deterministic(
-    sim: "DistributedSystemSimulation",
-    comp: List[Tuple[float, int, int]],
-    inflight,
-    plans,
-    const_rates,
-    seq: int,
-    now: float,
-) -> float:
-    """Drain with fully precomputed per-worker timelines.
-
-    Every remaining communication cost and execution rate is deterministic,
-    so each worker's fetch/completion timeline is the cumulative sum of its
-    ``comm + exec`` durations from its current in-flight completion onward —
-    accumulated in the engine's exact operation order, so every float rounds
-    identically.  Only the global interleaving (trace order and tie-breaks)
-    remains, which a heap merge over one precomputed timeline per worker
-    reproduces at a fraction of the per-event cost.
-    """
-    master = sim.master
-    workers = sim.workers
-    trace = sim.trace
-    assigned_time = master._assigned_time
-
-    # Per-worker timelines: dispatch/start/end lists for the queued tasks.
-    # The exec times come from one vectorised ``sizes / rate`` division (the
-    # same float64 op the event path performs per task); the running sums are
-    # accumulated in the engine's exact operation order.
-    timelines = {}
-    for t0, _, proc in comp:
-        worker = workers[proc]
-        queue = list(master.proc_queues[proc])
-        master.proc_queues[proc].clear()
-        comm = 0.0 if plans[proc][0] == _NEVER_DRAWS else plans[proc][1]
-        rate = const_rates[proc]
-        sizes = np.array([task.size_mflops for task in queue], dtype=float)
-        exec_times = (sizes / rate).tolist()
-        dispatches = []
-        starts = []
-        ends = []
-        end = t0
-        comm_seconds = worker.comm_seconds
-        busy_seconds = worker.busy_seconds
-        # In-flight task: completes at t0; its execution seconds accrue now.
-        task, dispatch_time, comm_cost = inflight[proc]
-        inflight_start = dispatch_time + comm_cost
-        busy_seconds += t0 - inflight_start
-        load = master.pending_loads[proc]
-        load = max(0.0, load - task.size_mflops)
-        for i, exec_time in enumerate(exec_times):
-            dispatches.append(end)
-            start = end + comm
-            starts.append(start)
-            end = start + exec_time
-            ends.append(end)
-            comm_seconds += comm
-            busy_seconds += end - start
-            load = max(0.0, load - queue[i].size_mflops)
-        master.pending_loads[proc] = load
-        worker.comm_seconds = comm_seconds
-        worker.busy_seconds = busy_seconds
-        worker.tasks_completed += 1 + len(queue)
-        worker.current_task = None
-        worker.busy_until = end
-        timelines[proc] = (queue, dispatches, starts, ends)
-
-    # Order-only merge: emit completions in the engine's (time, seq) order.
-    heap = list(comp)
-    heapq.heapify(heap)
-    progress = {proc: 0 for proc in timelines}
-    col_task, col_proc, col_size, col_arrival = [], [], [], []
-    col_assigned, col_dispatch, col_start, col_end = [], [], [], []
-    completed = 0
-    while heap:
-        t, _, proc = heapq.heappop(heap)
-        if t > now:
-            now = t
-        queue, dispatches, starts, ends = timelines[proc]
-        i = progress[proc]
-        if i == 0:
-            task, dispatch_time, comm_cost = inflight.pop(proc)
-            exec_start = dispatch_time + comm_cost
-            end = t
-        else:
-            task = queue[i - 1]
-            dispatch_time = dispatches[i - 1]
-            exec_start = starts[i - 1]
-            end = ends[i - 1]
-        task_id = task.task_id
-        col_task.append(task_id)
-        col_proc.append(proc)
-        col_size.append(task.size_mflops)
-        col_arrival.append(task.arrival_time)
-        col_assigned.append(assigned_time[task_id])
-        col_dispatch.append(dispatch_time)
-        col_start.append(exec_start)
-        col_end.append(end)
-        completed += 1
-        seq += 1  # the follow-up fetch's sequence number
-        if i < len(queue):
-            progress[proc] = i + 1
-            heapq.heappush(heap, (ends[i], seq, proc))
-            seq += 1
-
-    trace.extend_records(
-        col_task, col_proc, col_size, col_arrival,
-        col_assigned, col_dispatch, col_start, col_end,
-    )
-    sim._completed += completed
     return now

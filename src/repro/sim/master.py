@@ -40,6 +40,9 @@ OFFLINE_RATE = 1e-9
 #: Context pending load substituted for offline processors: large enough that
 #: load-aware policies avoid them, finite so GA fitness arithmetic stays sane.
 OFFLINE_LOAD = 1e18
+#: Smoothing factor ν of the master's communication-cost and rate
+#: observations (Γ in Sect. 3.6 of the paper).
+NU = 0.5
 
 
 class Master:
@@ -51,8 +54,6 @@ class Master:
         n_processors: int,
         initial_rates: np.ndarray,
         *,
-        comm_nu: float = 0.5,
-        rate_nu: float = 0.5,
         rng: RNGLike = None,
     ):
         if n_processors <= 0:
@@ -78,8 +79,8 @@ class Master:
         self.proc_queues: List[Deque[Task]] = [deque() for _ in range(n_processors)]
         self.pending_loads = np.zeros(n_processors, dtype=float)
 
-        self._comm_estimates = SmoothedMap(nu=comm_nu, default=0.0)
-        self._rate_estimates = SmoothedMap(nu=rate_nu)
+        self._comm_estimates = SmoothedMap(nu=NU, default=0.0)
+        self._rate_estimates = SmoothedMap(nu=NU)
         # Dense mirrors of the two smoothed maps, refreshed on every update:
         # contexts are built once per scheduling invocation (per *task* for
         # immediate-mode policies), and copying a float64 array is far

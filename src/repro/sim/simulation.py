@@ -84,16 +84,14 @@ class DynamicsTimelineLike(Protocol):
 
 @dataclass
 class SimulationConfig:
-    """Knobs of the simulated environment (not of any particular scheduler)."""
+    """Knobs of the simulated environment (not of any particular scheduler).
 
-    #: Smoothing factor of the master's communication-cost observations.
-    comm_nu: float = 0.5
-    #: Smoothing factor of the master's processor-rate observations.
-    rate_nu: float = 0.5
+    Every run completes every task; the master smooths its observations with
+    the paper's ν = 0.5 (:data:`repro.sim.master.NU`).
+    """
+
     #: Hard cap on processed events (guards against event storms).
     max_events: int = 10_000_000
-    #: Optional simulated-time horizon; ``None`` runs to completion.
-    time_horizon: Optional[float] = None
     #: Attribute wall-clock cost to simulation phases (``scheduling`` —
     #: policy invocations, ``dispatch`` — worker fetches and communication
     #: sampling, ``drain`` — completion processing, including the fast
@@ -172,8 +170,6 @@ class DistributedSystemSimulation:
             scheduler,
             cluster.n_processors,
             initial_rates=cluster.current_rates(0.0),
-            comm_nu=self.config.comm_nu,
-            rate_nu=self.config.rate_nu,
             rng=master_rng,
         )
         self.workers = [WorkerState(processor=proc) for proc in cluster.processors]
@@ -277,7 +273,7 @@ class DistributedSystemSimulation:
         same result-visible state behind and finish through this one path.
         """
         expected = len(self.tasks) + self._injected
-        if self.config.time_horizon is None and self._completed != expected:
+        if self._completed != expected:
             raise SimulationError(
                 f"simulation finished with {self._completed}/{expected} tasks completed"
             )

@@ -2,7 +2,7 @@
 
 The load-bearing property is cache-key stability: the same job spec must
 hash to the same key in any process on any run, every result-affecting field
-(including the GA kernel backend of a GA run) must be part of the key, and anything that
+(including every GAConfig field of a GA run) must be part of the key, and anything that
 cannot be fingerprinted faithfully must be rejected rather than guessed at.
 """
 
@@ -113,22 +113,35 @@ class TestCacheKey:
             remote = list(pool.map(_key_in_subprocess, [cell, cell]))
         assert remote == [local, local]
 
-    def test_backend_choice_is_part_of_the_key(self):
-        # The loop GA kernels are equal to the vectorized ones only in
-        # distribution, so a GA run's backend must split the cache.
+    def test_mutating_any_ga_config_field_changes_the_key(self):
+        # Every GAConfig field can change a GA run's result, so every one
+        # must split the cache.
         from repro.ga.engine import GAConfig
         from repro.parallel.jobs import GARunJob
         from repro.experiments.sweep import make_benchmark_problem
 
         problem = make_benchmark_problem(get_scale("smoke"), np.random.default_rng(0))
-        keys = {
-            backend: cache_key(
-                "ga_run",
-                GARunJob(config=GAConfig(backend=backend), problem=problem, ga_seed=1),
-            )
-            for backend in ("loop", "vectorized")
-        }
-        assert keys["loop"] != keys["vectorized"]
+        base = GAConfig()
+        base_key = cache_key("ga_run", GARunJob(config=base, problem=problem, ga_seed=1))
+        mutations = dict(
+            population_size=21,
+            max_generations=999,
+            crossover_rate=0.7,
+            mutation_rate=0.3,
+            swaps_per_mutation=2,
+            n_rebalances=2,
+            rebalance_probes=6,
+            random_init_fraction=0.25,
+            seeded_initialisation=False,
+            elitism=2,
+            selection="tournament",
+            crossover="pmx",
+        )
+        assert set(mutations) == {f.name for f in dataclasses.fields(GAConfig)}
+        for name, value in mutations.items():
+            config = dataclasses.replace(base, **{name: value})
+            key = cache_key("ga_run", GARunJob(config=config, problem=problem, ga_seed=1))
+            assert key != base_key, name
 
     def test_mutating_any_cell_field_changes_the_key(self):
         base = _scenario_cell()
@@ -151,8 +164,9 @@ class TestCacheKey:
         assert cache_key("scenario_cell", cell) != cache_key("other_kind", cell)
 
     def test_contract_version_is_in_the_key_material(self):
-        # Version 2: the backend fields left the job specs.
-        assert CODE_CONTRACT_VERSION == "2"
+        # Version 3: the GA's and the simulator's unused options left the
+        # job specs.
+        assert CODE_CONTRACT_VERSION == "3"
         # The key is a digest, so assert indirectly: the canonical material
         # of the fingerprint is stable JSON including the contract version.
         cell = _scenario_cell()
@@ -172,11 +186,11 @@ class TestCacheKey:
     @pytest.mark.parametrize(
         "kind, digest",
         [
-            ("figure", "7f55c9a0a86a631342d66f0b44d5c336fc8e93497c31f9077941b0331bd113a7"),
-            ("ga_run", "bbac58be18efcb7ffa785af6b4c2f219ea3b2b98749d82dc7b3f3982722a4066"),
+            ("figure", "09355e826475551c7cb3de40e2a72bcb429ab8d3df97cc5a1e1e730d037a382e"),
+            ("ga_run", "16963d78ecd25fb403eb1e2b78bcf634e51a2b5be5e363dd91b2c940718b1f50"),
             (
                 "scenario_cell",
-                "9318f9a55b043696ad83e7750fc2bd1318a846e01b05d032de600880f03d9159",
+                "9f6d427bee2f225545da086aded7a87720f16a544c670df8ddde980044bbf730",
             ),
         ],
     )

@@ -2,10 +2,12 @@
 
 import argparse
 import functools
+import json
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.campaigns import ResultStore
 from repro.cli import build_parser, main
 from repro.experiments.config import SCALES
 from repro.parallel import ExperimentExecutor
@@ -340,6 +342,34 @@ class TestCampaignsCLI:
         )
         assert code == 2
         assert "empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "parameter",
+        ["selection_operator", "backend", "time_limit_seconds", "target_makespan", "warp_factor"],
+    )
+    def test_sweep_over_a_non_field_exits_2_before_creating_the_store(
+        self, capsys, tmp_path, parameter
+    ):
+        store = tmp_path / "store"
+        assert main(self._run_args(store, ["--sweep", parameter, "1", "2"])) == 2
+        err = capsys.readouterr().err
+        assert f"error: GAConfig has no field named '{parameter}'" in err
+        assert not store.exists()
+
+    def test_resuming_a_sweep_over_a_retired_field_exits_2(self, capsys, tmp_path):
+        store = tmp_path / "store"
+        assert main(self._run_args(store, ["--max-cells", "1"])) == 3
+        path = ResultStore(store).manifest_path("cli-test")
+        with open(path, encoding="utf8") as handle:
+            manifest = json.load(handle)
+        manifest["spec"]["sweeps"] = [
+            {"parameter": "time_limit_seconds", "values": [1.0], "repeats": 1}
+        ]
+        with open(path, "w", encoding="utf8") as handle:
+            json.dump(manifest, handle)
+        capsys.readouterr()
+        assert main(["campaigns", "resume", "--store", str(store), "cli-test"]) == 2
+        assert "GAConfig has no field named 'time_limit_seconds'" in capsys.readouterr().err
 
     def test_run_interrupt_resume_and_warm_rerun(self, capsys, tmp_path):
         store = tmp_path / "store"

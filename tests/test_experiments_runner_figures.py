@@ -23,6 +23,7 @@ from repro.experiments import (
     sweep_ga_parameter,
 )
 from repro.schedulers import ALL_SCHEDULER_NAMES
+from repro.experiments.sweep import build_sweep_jobs
 from repro.util.errors import ConfigurationError
 from repro.workloads import normal_paper_workload
 
@@ -170,6 +171,16 @@ class TestComparisonFigures:
         assert "fig4" in summary and "fig6" in summary
 
 
+#: Names that are not GAConfig fields: a method, the three retired options
+#: and a made-up name.
+NOT_GA_FIELDS = [
+    "selection_operator",
+    "backend",
+    "time_limit_seconds",
+    "target_makespan",
+    "warp_factor",
+]
+
 class TestSweep:
     def test_benchmark_problem_dimensions(self, tiny_scale):
         problem = make_benchmark_problem(tiny_scale, seed=0)
@@ -188,3 +199,12 @@ class TestSweep:
     def test_sweep_unknown_parameter_rejected(self, tiny_scale):
         with pytest.raises(ConfigurationError):
             sweep_ga_parameter("warp_factor", [1], scale=tiny_scale, repeats=1)
+
+    @pytest.mark.parametrize("parameter", NOT_GA_FIELDS)
+    def test_build_sweep_jobs_takes_only_ga_config_fields(self, tiny_scale, parameter):
+        # A method such as selection_operator is an attribute of GAConfig
+        # but not a field, so it must not reach GAConfig(**...).
+        with pytest.raises(
+            ConfigurationError, match=f"GAConfig has no field named '{parameter}'"
+        ):
+            build_sweep_jobs(parameter, [1, 2], scale=tiny_scale, repeats=1)

@@ -34,7 +34,6 @@ from repro.ga import (
     LoopBackend,
     ProblemGroup,
     VectorizedBackend,
-    backend_from_name,
     cycle_crossover_batch,
     decode_assignment,
     decode_population,
@@ -45,6 +44,7 @@ from repro.ga import (
     swap_positions_batch,
     validate_chromosome,
 )
+from repro.ga import engine as engine_module
 from repro.ga.crossover import CycleCrossover, OrderCrossover, PartiallyMappedCrossover
 from repro.ga.kernels import cycle_labels
 from repro.ga.mutation import apply_position_swaps
@@ -52,7 +52,14 @@ from repro.ga.encoding import chromosome_from_queues
 from repro.ga.population import random_population, seeded_population
 from repro.util.errors import ConfigurationError
 
-BACKENDS = ["loop", "vectorized"]
+#: The reference kernels and the ones every run evolves on, built directly.
+BACKENDS = {"loop": LoopBackend, "vectorized": VectorizedBackend}
+
+
+def evolve_on(backend, config, problem, seed, monkeypatch):
+    """One whole GA run with the engine's kernels patched to *backend*."""
+    monkeypatch.setattr(engine_module, "_KERNELS", BACKENDS[backend]())
+    return GeneticAlgorithm(config, rng=seed).evolve(problem)
 
 
 def random_problem(rng, n_tasks, n_procs):
@@ -83,23 +90,6 @@ def random_parent_pair(rng, n_tasks, n_procs):
         [np.arange(n_tasks, dtype=int), -np.arange(1, n_procs, dtype=int)]
     )
     return rng.permutation(symbols), rng.permutation(symbols)
-
-
-class TestBackendRegistry:
-    def test_backend_from_name(self):
-        assert isinstance(backend_from_name("loop"), LoopBackend)
-        assert isinstance(backend_from_name("vectorized"), VectorizedBackend)
-        assert isinstance(backend_from_name("  Vectorized "), VectorizedBackend)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            backend_from_name("numba")
-
-    def test_config_validates_backend(self):
-        with pytest.raises(ConfigurationError):
-            GAConfig(backend="gpu")
-        assert GAConfig().backend == "vectorized"
-        assert GAConfig(backend="loop").kernel_backend().name == "loop"
 
 
 class TestBatchedDecode:
@@ -291,7 +281,7 @@ class TestVectorizedRebalance:
             problem = random_problem(rng, 24, 6)
             population = random_population(problem, 10, rng=rng)
             for name in gains:
-                backend = backend_from_name(name)
+                backend = BACKENDS[name]()
                 pop_copy = population.copy()
                 assignments = decode_population(pop_copy, 24, 6)
                 before = evaluate_assignments(assignments, problem)
@@ -316,19 +306,16 @@ class TestVectorizedRebalance:
 
 class TestBackendParity:
     @pytest.mark.parametrize("crossover", ["cycle", "pmx", "order"])
-    def test_evolve_bit_identical_without_rebalancing(self, crossover):
+    def test_evolve_bit_identical_without_rebalancing(self, crossover, monkeypatch):
         rng = np.random.default_rng(2)
         problem = random_problem(rng, 24, 5)
-        results = {}
-        for backend in BACKENDS:
-            config = GAConfig(
-                population_size=12,
-                max_generations=18,
-                n_rebalances=0,
-                crossover=crossover,
-                backend=backend,
-            )
-            results[backend] = GeneticAlgorithm(config, rng=7).evolve(problem)
+        config = GAConfig(
+            population_size=12, max_generations=18, n_rebalances=0, crossover=crossover
+        )
+        results = {
+            backend: evolve_on(backend, config, problem, 7, monkeypatch)
+            for backend in BACKENDS
+        }
         loop, vectorized = results["loop"], results["vectorized"]
         assert np.array_equal(loop.best_assignment, vectorized.best_assignment)
         assert loop.best_makespan == vectorized.best_makespan
@@ -343,7 +330,7 @@ class TestBackendParity:
         results = []
         for backend in BACKENDS:
             work = parents.copy()
-            out = backend_from_name(backend).crossover(
+            out = BACKENDS[backend]().crossover(
                 work, CycleCrossover(), 0.8, [np.random.default_rng(99)]
             )
             results.append(out.copy())
@@ -357,7 +344,7 @@ class TestBackendParity:
         results = []
         for backend in BACKENDS:
             work = parents.copy()
-            out = backend_from_name(backend).crossover(
+            out = BACKENDS[backend]().crossover(
                 work, operator(), 0.9, [np.random.default_rng(5)]
             )
             results.append(out.copy())
@@ -370,7 +357,7 @@ class TestBackendParity:
         results = []
         for backend in BACKENDS:
             work = population.copy()
-            out = backend_from_name(backend).mutate(work, 0.7, 2, [np.random.default_rng(21)])
+            out = BACKENDS[backend]().mutate(work, 0.7, 2, [np.random.default_rng(21)])
             results.append(out.copy())
         assert np.array_equal(results[0], results[1])
 
@@ -391,7 +378,7 @@ class TestBackendParity:
         results = []
         for backend in BACKENDS:
             work = parents.copy()
-            out = backend_from_name(backend).crossover(
+            out = BACKENDS[backend]().crossover(
                 work, SwapHalvesCrossover(), 1.0, [np.random.default_rng(33)]
             )
             results.append(out.copy())
@@ -402,13 +389,11 @@ class TestBackendParity:
             assert np.array_equal(results[1][2 * pair + 1], parents[2 * pair])
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_evolve_with_rebalancing_satisfies_ga_invariants(self, backend):
+    def test_evolve_with_rebalancing_satisfies_ga_invariants(self, backend, monkeypatch):
         rng = np.random.default_rng(8)
         problem = random_problem(rng, 25, 5)
-        config = GAConfig(
-            population_size=10, max_generations=15, n_rebalances=2, backend=backend
-        )
-        result = GeneticAlgorithm(config, rng=11).evolve(problem)
+        config = GAConfig(population_size=10, max_generations=15, n_rebalances=2)
+        result = evolve_on(backend, config, problem, 11, monkeypatch)
         history = np.asarray(result.makespan_history)
         assert np.all(np.diff(history) <= 1e-9)
         assert result.best_makespan <= result.initial_best_makespan + 1e-9

@@ -82,15 +82,10 @@ def test_stacked_runs_equal_solo_runs(jobs):
     assert stacked[0][0].stacked == peers
 
 
-def test_runs_that_can_stop_early_evolve_alone():
+def test_runs_of_one_config_and_shape_stack_and_others_do_not():
     base = GAConfig(population_size=6, max_generations=3)
-    configs_ = [
-        GAConfig(population_size=6, max_generations=3, time_limit_seconds=60.0),
-        GAConfig(population_size=6, max_generations=3, target_makespan=0.0),
-        GAConfig(population_size=6, max_generations=3, backend="loop"),
-    ]
-    for config in configs_:
-        jobs = [(config, (5, 3), seed) for seed in range(3)]
-        assert [r.stacked for r, _ in SerialExecutor().map(_evolve, jobs)] == [1, 1, 1]
+    other = GAConfig(population_size=6, max_generations=4)
     jobs = [(base, (5, 3), seed) for seed in range(3)]
     assert [r.stacked for r, _ in SerialExecutor().map(_evolve, jobs)] == [3, 3, 3]
+    jobs = [(base, (5, 3), 0), (other, (5, 3), 1), (base, (4, 3), 2)]
+    assert [r.stacked for r, _ in SerialExecutor().map(_evolve, jobs)] == [1, 1, 1]

@@ -103,12 +103,21 @@ class TestGAConfig:
             dict(n_rebalances=-1),
             dict(elitism=20, population_size=20),
             dict(max_generations=0),
-            dict(target_makespan=-1.0),
+            dict(swaps_per_mutation=0),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             GAConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field", ["backend", "time_limit_seconds", "target_makespan"]
+    )
+    def test_retired_options_are_not_fields(self, field):
+        # Every run evolves on the vectorized kernels for exactly
+        # max_generations generations: nothing else is settable.
+        with pytest.raises(TypeError, match=field):
+            GAConfig(**{field: None})
 
     def test_operator_construction(self):
         cfg = GAConfig(selection="tournament", crossover="pmx")
@@ -151,20 +160,6 @@ class TestGeneticAlgorithm:
         result = GeneticAlgorithm(quick_config(max_generations=7), rng=0).evolve(small_problem)
         assert result.generations == 7
         assert result.stop_reason is GAStopReason.MAX_GENERATIONS
-
-    def test_target_makespan_stops_early(self, small_problem):
-        result = GeneticAlgorithm(
-            quick_config(target_makespan=1e9, max_generations=50), rng=0
-        ).evolve(small_problem)
-        assert result.generations == 1
-        assert result.stop_reason is GAStopReason.TARGET_MAKESPAN
-
-    def test_time_limit_stops(self, small_problem):
-        result = GeneticAlgorithm(
-            quick_config(max_generations=10_000, time_limit_seconds=0.05), rng=0
-        ).evolve(small_problem)
-        assert result.stop_reason is GAStopReason.TIME_LIMIT
-        assert result.wall_time_seconds >= 0.05
 
     def test_ga_improves_over_random_initialisation(self, small_problem):
         config = quick_config(

@@ -49,35 +49,44 @@ SCALE = "smoke"
 CAMPAIGN_FIGURES = ("fig5",)
 CAMPAIGN_SCENARIOS = ("steady-state", "failure-storm", "trace-bursty")
 
-#: GA engine cases: ``(n_tasks, n_processors, tie_heavy_sizes, GAConfig kwargs)``.
-#: They span H in {1, 2, 10, 200} and M in {1, 2, 10, 50}, every
-#: ``n_rebalances`` in {0, 1, 5, 50}, probe budgets above H, every crossover
-#: and selection operator, seeded and random initialisation, and task sizes
-#: drawn from three values so the rebalance's strict size test meets ties.
+#: GA engine cases: ``(seed, n_tasks, n_processors, tie_heavy_sizes, GAConfig
+#: kwargs)``; the seed draws the problem and seeds the GA.  They span H in
+#: {1, 2, 10, 200} and M in {1, 2, 10, 50}, every ``n_rebalances`` in
+#: {0, 1, 5, 50}, probe budgets above H, every crossover and selection
+#: operator, seeded and random initialisation, and task sizes drawn from
+#: three values so the rebalance's strict size test meets ties.
 GA_CASES = {
-    "h1_m1": (1, 1, False, dict(max_generations=8)),
-    "h1_m10": (1, 10, False, dict(max_generations=8, n_rebalances=5)),
-    "h2_m2_tournament": (2, 2, True, dict(max_generations=10, selection="tournament")),
-    "h2_m50_rank_pmx": (2, 50, False, dict(max_generations=10, selection="rank", crossover="pmx")),
-    "h10_m1": (10, 1, True, dict(max_generations=10, n_rebalances=5)),
-    "h10_m2_ties_order": (10, 2, True, dict(max_generations=20, n_rebalances=5, crossover="order")),
-    "h10_m10_inflight": (10, 10, False, dict(max_generations=40)),
+    "h1_m1": (0, 1, 1, False, dict(max_generations=8)),
+    "h1_m10": (1, 1, 10, False, dict(max_generations=8, n_rebalances=5)),
+    "h2_m2_tournament": (2, 2, 2, True, dict(max_generations=10, selection="tournament")),
+    "h2_m50_rank_pmx": (
+        3, 2, 50, False, dict(max_generations=10, selection="rank", crossover="pmx")
+    ),
+    "h10_m1": (4, 10, 1, True, dict(max_generations=10, n_rebalances=5)),
+    "h10_m2_ties_order": (
+        5, 10, 2, True, dict(max_generations=20, n_rebalances=5, crossover="order")
+    ),
+    "h10_m10_inflight": (6, 10, 10, False, dict(max_generations=40)),
     "h10_m10_ties_reb50": (
-        10, 10, True, dict(max_generations=30, n_rebalances=50, rebalance_probes=12)
+        7, 10, 10, True, dict(max_generations=30, n_rebalances=50, rebalance_probes=12)
     ),
     "h10_m10_random_init": (
-        10, 10, False, dict(max_generations=20, seeded_initialisation=False, selection="tournament")
+        8, 10, 10, False,
+        dict(max_generations=20, seeded_initialisation=False, selection="tournament"),
     ),
-    "h10_m10_loop_backend": (10, 10, True, dict(max_generations=15, n_rebalances=5, backend="loop")),
-    "h10_m50_reb0": (10, 50, False, dict(max_generations=15, n_rebalances=0, crossover="order")),
-    "h10_m10_target": (10, 10, False, dict(max_generations=30, target_makespan=1e9)),
-    "h200_m2_reb0_rank": (200, 2, False, dict(max_generations=10, n_rebalances=0, selection="rank")),
+    "h10_m50_reb0": (
+        10, 10, 50, False, dict(max_generations=15, n_rebalances=0, crossover="order")
+    ),
+    "h200_m2_reb0_rank": (
+        12, 200, 2, False, dict(max_generations=10, n_rebalances=0, selection="rank")
+    ),
     "h200_m10_ties_probes": (
-        200, 10, True, dict(max_generations=20, n_rebalances=5, rebalance_probes=250)
+        13, 200, 10, True, dict(max_generations=20, n_rebalances=5, rebalance_probes=250)
     ),
-    "h200_m50_reb50": (200, 50, True, dict(max_generations=10, n_rebalances=50)),
+    "h200_m50_reb50": (14, 200, 50, True, dict(max_generations=10, n_rebalances=50)),
     "h200_m50_random_pmx": (
-        200, 50, False, dict(max_generations=10, seeded_initialisation=False, crossover="pmx")
+        15, 200, 50, False,
+        dict(max_generations=10, seeded_initialisation=False, crossover="pmx"),
     ),
 }
 
@@ -121,8 +130,8 @@ def campaign_digest(store_root: str) -> str:
 
 
 def ga_case_problem(name: str) -> BatchProblem:
-    n_tasks, n_processors, tie_heavy, _ = GA_CASES[name]
-    rng = np.random.default_rng(list(GA_CASES).index(name))
+    seed, n_tasks, n_processors, tie_heavy, _ = GA_CASES[name]
+    rng = np.random.default_rng(seed)
     if tie_heavy:
         sizes = 100.0 * rng.integers(1, 4, n_tasks)
     else:
@@ -138,7 +147,7 @@ def ga_case_problem(name: str) -> BatchProblem:
 
 def ga_engine_digests() -> dict:
     digests = {}
-    for seed, (name, (_, _, _, overrides)) in enumerate(GA_CASES.items()):
+    for name, (seed, _, _, _, overrides) in GA_CASES.items():
         result = GeneticAlgorithm(GAConfig(**overrides), rng=seed).evolve(ga_case_problem(name))
         digests[name] = digest(
             {

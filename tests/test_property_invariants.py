@@ -7,13 +7,23 @@ within their physical bounds, and the GA never returns a schedule worse than
 the best individual it has seen.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import heterogeneous_cluster
-from repro.ga import BatchProblem, GAConfig, GeneticAlgorithm, evaluate_assignments
+from repro.ga import (
+    BatchProblem,
+    GAConfig,
+    GeneticAlgorithm,
+    LoopBackend,
+    VectorizedBackend,
+    evaluate_assignments,
+)
+from repro.ga import engine as engine_module
 from repro.ga.fitness import completion_times, swap_completion_delta
 from repro.ga.mutation import rebalance_many
 from repro.schedulers import (
@@ -84,7 +94,9 @@ class TestSchedulerAssignmentInvariants:
 
 
 class TestGAInvariants:
-    @pytest.mark.parametrize("backend", ["loop", "vectorized"])
+    @pytest.mark.parametrize(
+        "backend", [LoopBackend, VectorizedBackend], ids=["loop", "vectorized"]
+    )
     @given(
         n_tasks=st.integers(min_value=2, max_value=25),
         n_procs=st.integers(min_value=2, max_value=6),
@@ -100,10 +112,9 @@ class TestGAInvariants:
             pending_loads=rng.uniform(0.0, 500.0, n_procs),
             comm_costs=rng.uniform(0.0, 2.0, n_procs),
         )
-        config = GAConfig(
-            population_size=8, max_generations=6, n_rebalances=1, backend=backend
-        )
-        result = GeneticAlgorithm(config, rng=seed).evolve(problem)
+        config = GAConfig(population_size=8, max_generations=6, n_rebalances=1)
+        with mock.patch.object(engine_module, "_KERNELS", backend()):
+            result = GeneticAlgorithm(config, rng=seed).evolve(problem)
         # queues cover exactly the batch's task ids
         flat = sorted(tid for q in result.best_queues for tid in q)
         assert flat == sorted(problem.task_ids.tolist())

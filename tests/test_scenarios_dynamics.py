@@ -225,27 +225,6 @@ class TestLoadSpike:
         assert len(spike_records) == 5
         assert all(r.arrival_time == pytest.approx(2.0) for r in spike_records)
 
-    def test_horizon_cutting_off_spike_does_not_count_it(self):
-        # A time horizon that ends before the spike fires must not claim the
-        # spike's tasks were injected (they never entered the system).
-        from repro.sim import SimulationConfig
-
-        timeline = DynamicsTimeline(
-            [LoadSpike(50.0, n_tasks=5, sizes=ConstantSizes(100.0))]
-        )
-        cluster = homogeneous_cluster(2, rate_mflops=100.0, mean_comm_cost=0.0)
-        result = simulate_schedule(
-            EarliestFirstScheduler(),
-            cluster,
-            tasks_at_zero(4),
-            dynamics=timeline,
-            config=SimulationConfig(time_horizon=10.0),
-            rng=1,
-        )
-        assert result.tasks_injected == 0
-        assert result.metrics.dynamics.tasks_injected == 0
-        assert len(result.trace.records) == 4
-
     def test_spike_interacts_with_failure(self):
         timeline = DynamicsTimeline(
             [

@@ -201,8 +201,28 @@ class TestRegistry:
         assert set(schedulers) == {"EF", "PN"}
 
     def test_fixed_batch_pn(self):
+        # The registry's PN uses the dynamic rule; a fixed batch is built
+        # directly.
         from repro.core.batching import FixedBatchSizer
+        from repro.sim import simulate_schedule
+        from repro.cluster import homogeneous_cluster
+        from repro.workloads import TaskSet
 
-        scheduler = make_scheduler("PN", n_processors=4, dynamic_batch=False, batch_size=33)
-        assert isinstance(scheduler.batch_sizer, FixedBatchSizer)
+        scheduler = PNScheduler(
+            n_processors=4,
+            ga_config=GAConfig(population_size=4, max_generations=2),
+            batch_sizer=FixedBatchSizer(batch_size=33),
+            rng=0,
+        )
         assert scheduler.batch_sizer.batch_size == 33
+        tasks = TaskSet(Task(task_id=i, size_mflops=100.0) for i in range(70))
+        result = simulate_schedule(scheduler, homogeneous_cluster(4), tasks, rng=0)
+        assert result.batch_sizes == [33, 33, 4]
+
+    def test_registry_pn_batches_dynamically(self):
+        from repro.core.batching import DynamicBatchSizer
+
+        scheduler = make_scheduler("PN", n_processors=4, batch_size=33)
+        assert isinstance(scheduler.batch_sizer, DynamicBatchSizer)
+        with pytest.raises(TypeError, match="dynamic_batch"):
+            make_scheduler("PN", n_processors=4, dynamic_batch=False)

@@ -96,7 +96,7 @@ def run_digest(sim, result):
     return h.hexdigest()
 
 
-def failover_sim(*, time_horizon=None):
+def failover_sim():
     """Worker 1 fails at t=5, mid-way through its task, and recovers at t=100.
 
     Two identical workers (100 Mflop/s, no communication cost) and two tasks
@@ -120,7 +120,6 @@ def failover_sim(*, time_horizon=None):
         EarliestFirstScheduler(),
         homogeneous_cluster(2, rate_mflops=100.0, mean_comm_cost=0.0),
         tasks,
-        config=SimulationConfig(time_horizon=time_horizon),
         dynamics=timeline,
         rng=0,
     )
@@ -241,20 +240,6 @@ class TestCancelledCompletions:
                 ends = result.trace.column("exec_end")[mask]
                 dispatches = result.trace.column("dispatch_time")[mask]
                 assert np.all((ends <= action.time) | (dispatches >= back))
-
-    @pytest.mark.parametrize(
-        "horizon,end,events", [(12.0, 10.0, 9), (15.0, 10.0, 9), (20.0, 10.0, 9), (30.0, 25.0, 11)]
-    )
-    def test_time_horizon_is_neither_cut_short_nor_extended(self, horizon, end, events):
-        # The cancelled completion at t=15 neither stops the run before the
-        # horizon nor moves the clock: the run ends at the last live event
-        # at or before the horizon.  Worker 1 is still down then, so its
-        # downtime measures the end time.
-        result, skipped = skipped_completions(failover_sim(time_horizon=horizon))
-        assert skipped == 1
-        assert result.events_processed == events
-        assert result.metrics.dynamics.worker_downtime_seconds == end - 5.0
-        assert result.trace.column("exec_end").tolist() == [10.0, 25.0][: 1 + (end > 10)]
 
 
 class TestRunGuards:

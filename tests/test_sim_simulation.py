@@ -1,5 +1,6 @@
 """Integration-level tests of the full master/worker simulation."""
 
+import dataclasses
 import gc
 
 import numpy as np
@@ -169,16 +170,36 @@ class TestDynamicBehaviour:
         assert sum(result.batch_sizes) == 30
         assert all(size <= 10 for size in result.batch_sizes)
 
-    def test_time_horizon_truncates(self, small_cluster, small_tasks):
-        from repro.sim.simulation import DistributedSystemSimulation
 
-        full = simulate_schedule(EarliestFirstScheduler(), small_cluster, small_tasks, rng=0)
-        config = SimulationConfig(time_horizon=full.makespan * 0.6)
+class TestSimulationConfig:
+    def test_two_settable_fields(self):
+        assert [f.name for f in dataclasses.fields(SimulationConfig)] == [
+            "max_events",
+            "phase_timing",
+        ]
+
+    @pytest.mark.parametrize("field", ["time_horizon", "comm_nu", "rate_nu"])
+    def test_retired_options_are_not_fields(self, field):
+        # Every run completes every task, and the master smooths its
+        # observations with the paper's ν = 0.5.
+        with pytest.raises(TypeError, match=field):
+            SimulationConfig(**{field: 1.0})
+
+    def test_master_smooths_with_the_papers_nu(self, small_cluster, small_tasks):
+        from repro.sim.master import NU
+
+        assert NU == 0.5
         sim = DistributedSystemSimulation(
-            EarliestFirstScheduler(), small_cluster, small_tasks, config=config, rng=0
+            EarliestFirstScheduler(), small_cluster, small_tasks, rng=0
         )
-        result = sim.run()
-        assert 1 <= result.metrics.tasks_completed < len(small_tasks)
+        master = sim.master
+        master.observe_dispatch(1, 4.0, 0.0)
+        master.observe_dispatch(1, 2.0, 1.0)
+        assert master.estimated_comm_costs()[1] == 4.0 + NU * (2.0 - 4.0)
+        task = small_tasks[0]
+        master.observe_completion(2, task, task.size_mflops / 80.0, 2.0)
+        master.observe_completion(2, task, task.size_mflops / 40.0, 3.0)
+        assert master.estimated_rates()[2] == 80.0 + NU * (40.0 - 80.0)
 
 
 class TestSchedulerQuality:
