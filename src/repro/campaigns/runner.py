@@ -62,6 +62,7 @@ from ..sim.simulation import SimulationConfig
 from ..telemetry import get_session, span
 from ..telemetry.monitor import RunMonitor
 from ..util.errors import ConfigurationError, ExperimentInterrupted
+from ..workloads.arrival import AllAtOnce
 from .spec import CampaignSpec
 from .store import ResultStore, cache_key
 
@@ -172,24 +173,28 @@ def _run_cells(cell_fn: Callable[[CampaignCell], Dict], cells: List[CampaignCell
 def _pool_jobs(pending: List[CampaignCell], workers: int) -> List[List[CampaignCell]]:
     """The process-pool jobs for *pending*, in cell order.
 
-    Each GA scheduler's scenario cells are cut, in cell order, into
-    contiguous groups of at most ⌈GA cells / *workers*⌉ and at most
-    :data:`GROUP_CELLS` cells, so every worker gets GA work while one job
-    stays short; with no more GA cells than workers, every group is a
-    single cell.  A group sits where its first cell does, and every other
-    cell is a job of its own.
+    Each GA scheduler's scenario cells are cut, per arrival class (the
+    workload's arrivals are :class:`AllAtOnce`, or not: tasks arrive over
+    time, as a replayed trace's do) and in cell order, into groups of at
+    most ⌈GA cells / *workers*⌉ and at most :data:`GROUP_CELLS` cells, so
+    every worker gets GA work while one job stays short; with no more GA
+    cells than workers, every group is a single cell.  Tasks that arrive
+    over time reach the scheduler a few at a time, so those cells' GA runs
+    share shapes and stack.  A group sits where its first cell does, and
+    every other cell is a job of its own.
     """
     is_ga = [c.kind == KIND_SCENARIO and c.job.scheduler in GA_SCHEDULER_NAMES for c in pending]
     size = min(-(-sum(is_ga) // workers), GROUP_CELLS)
     jobs: List[List[CampaignCell]] = []
-    open_groups: Dict[str, List[CampaignCell]] = {}
+    open_groups: Dict[Tuple[str, bool], List[CampaignCell]] = {}
     for cell, ga in zip(pending, is_ga):
         if not ga:
             jobs.append([cell])
             continue
-        group = open_groups.get(cell.job.scheduler)
+        key = (cell.job.scheduler, isinstance(cell.job.spec.workload.arrivals, AllAtOnce))
+        group = open_groups.get(key)
         if group is None or len(group) == size:
-            group = open_groups[cell.job.scheduler] = []
+            group = open_groups[key] = []
             jobs.append(group)
         group.append(cell)
     return jobs

@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 
 from ..experiments.config import ExperimentScale, SCALES, get_scale
 from ..experiments.figures import FIGURES
-from ..experiments.sweep import require_ga_field
+from ..experiments.sweep import require_ga_field, sweep_configs
 from ..scenarios.registry import scenario_names
 from ..schedulers.registry import ALL_SCHEDULER_NAMES
 from ..util.errors import ConfigurationError
@@ -152,6 +152,10 @@ class CampaignSpec:
         parameters = [sweep.parameter for sweep in self.sweeps]
         if len(set(parameters)) != len(parameters):
             raise ConfigurationError(f"duplicate sweep parameters: {parameters}")
+        # Every swept value must make a valid GA configuration at this scale,
+        # so a spec that would fail mid-run is refused before any work.
+        for sweep in self.sweeps:
+            sweep_configs(sweep.parameter, sweep.values, scale=self.experiment_scale())
 
     def experiment_scale(self) -> ExperimentScale:
         """The scale preset the campaign runs at."""

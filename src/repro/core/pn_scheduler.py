@@ -18,7 +18,7 @@ the paper:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -27,8 +27,7 @@ from ..ga.problem import BatchProblem
 from ..schedulers.base import BatchScheduler, ScheduleAssignment, SchedulingContext
 from ..util.errors import ConfigurationError
 from ..util.rng import RNGLike, ensure_rng
-from ..util.smoothing import SmoothedMap
-from ..util.validation import require_probability
+from ..util.smoothing import NU, SmoothedMap
 from ..workloads.task import Task
 from .batching import DynamicBatchSizer, FixedBatchSizer
 from .comm_estimator import CommCostEstimator
@@ -74,11 +73,12 @@ class PNScheduler(BatchScheduler):
         (:class:`~repro.core.batching.DynamicBatchSizer`); pass a
         :class:`~repro.core.batching.FixedBatchSizer` to reproduce the fixed
         batch-size experiments.
-    comm_nu, rate_nu:
-        Smoothing factors of the communication-cost and processor-rate
-        estimators (the paper's Γ function, Sect. 3.6).
     rng:
         Randomness source for the GA.
+
+    The communication-cost and processor-rate estimators smooth with the
+    paper's Γ function (Sect. 3.6) at ν = :data:`~repro.util.smoothing.NU`,
+    as the master's do.
     """
 
     name = "PN"
@@ -89,8 +89,6 @@ class PNScheduler(BatchScheduler):
         *,
         ga_config: Optional[GAConfig] = None,
         batch_sizer: Optional[Union[DynamicBatchSizer, FixedBatchSizer]] = None,
-        comm_nu: float = 0.5,
-        rate_nu: float = 0.5,
         rng: RNGLike = None,
     ):
         super().__init__(batch_size=None)
@@ -101,13 +99,14 @@ class PNScheduler(BatchScheduler):
         self.batch_sizer = batch_sizer or DynamicBatchSizer(
             min_batch=10, max_batch=500, initial_batch=200
         )
-        require_probability(comm_nu, "comm_nu")
-        require_probability(rate_nu, "rate_nu")
-        self.comm_estimator = CommCostEstimator(self.n_processors, nu=comm_nu)
-        self._rate_estimates = SmoothedMap(nu=rate_nu)
+        self.comm_estimator = CommCostEstimator(self.n_processors, nu=NU)
+        self._rate_estimates = SmoothedMap(nu=NU)
         self._rng = ensure_rng(rng)
-        #: GA results of every batch scheduled so far (most recent last).
-        self.history: List[GAResult] = []
+        #: GA result of the most recent batch (``None`` before the first batch).
+        self.last_result: Optional[GAResult] = None
+        #: Batches scheduled so far, and the GA generations they took.
+        self.batches = 0
+        self._generations = 0
 
     # -- batch sizing -------------------------------------------------------------------
     def preferred_batch_size(self, ctx: SchedulingContext, n_queued: int) -> int:
@@ -156,7 +155,9 @@ class PNScheduler(BatchScheduler):
         )
         engine = GeneticAlgorithm(self.ga_config, rng=self._rng)
         result = engine.evolve(problem)
-        self.history.append(result)
+        self.last_result = result
+        self.batches += 1
+        self._generations += result.generations
         return ScheduleAssignment(result.best_queues)
 
     # -- feedback hooks -------------------------------------------------------------------
@@ -177,14 +178,11 @@ class PNScheduler(BatchScheduler):
         self.comm_estimator.reset()
         self._rate_estimates.reset()
         self.batch_sizer.reset()
-        self.history.clear()
+        self.last_result = None
+        self.batches = 0
+        self._generations = 0
 
     # -- introspection ----------------------------------------------------------------------
-    @property
-    def last_result(self) -> Optional[GAResult]:
-        """GA result of the most recent batch (``None`` before the first batch)."""
-        return self.history[-1] if self.history else None
-
     def total_generations(self) -> int:
         """Total GA generations run across all batches scheduled so far."""
-        return int(sum(result.generations for result in self.history))
+        return self._generations

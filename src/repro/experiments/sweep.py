@@ -32,6 +32,7 @@ __all__ = [
     "build_sweep_jobs",
     "make_benchmark_problem",
     "require_ga_field",
+    "sweep_configs",
     "sweep_ga_parameter",
 ]
 
@@ -102,6 +103,27 @@ def make_benchmark_problem(
     )
 
 
+def sweep_configs(
+    parameter: str,
+    values: Sequence[object],
+    *,
+    scale: ExperimentScale,
+    base_config: Optional[GAConfig] = None,
+) -> List[GAConfig]:
+    """The GA configuration of each swept value of the field *parameter*.
+
+    A value :class:`GAConfig` rejects raises
+    :class:`~repro.util.errors.ConfigurationError`, so a sweep can be checked
+    before any of its work starts.
+    """
+    base = base_config or GAConfig(
+        population_size=20,
+        max_generations=scale.convergence_generations,
+        n_rebalances=1,
+    )
+    return [GAConfig(**{**base.__dict__, parameter: value}) for value in values]
+
+
 def build_sweep_jobs(
     parameter: str,
     values: Sequence[object],
@@ -121,13 +143,9 @@ def build_sweep_jobs(
     """
     if repeats <= 0:
         raise ConfigurationError("repeats must be positive")
-    rng = ensure_rng(seed)
-    base = base_config or GAConfig(
-        population_size=20,
-        max_generations=scale.convergence_generations,
-        n_rebalances=1,
-    )
     require_ga_field(parameter)
+    configs = sweep_configs(parameter, values, scale=scale, base_config=base_config)
+    rng = ensure_rng(seed)
 
     # Pre-draw one problem and one GA seed per repeat so every swept value sees
     # identical conditions.
@@ -135,8 +153,7 @@ def build_sweep_jobs(
     ga_seeds = [int(ensure_rng(rng).integers(0, 2**31 - 1)) for _ in range(repeats)]
 
     jobs: List[GARunJob] = []
-    for value in values:
-        config = GAConfig(**{**base.__dict__, parameter: value})
+    for config in configs:
         jobs.extend(
             GARunJob(config=config, problem=problem, ga_seed=ga_seed)
             for problem, ga_seed in zip(problems, ga_seeds)

@@ -189,7 +189,7 @@ def crossover_from_name(name: str, **kwargs) -> CrossoverOperator:
         "order": OrderCrossover,
         "ox": OrderCrossover,
     }
-    key = name.strip().lower()
+    key = str(name).strip().lower()
     if key not in registry:
         raise ConfigurationError(
             f"unknown crossover operator {name!r}; expected one of {sorted(set(registry))}"

@@ -12,6 +12,9 @@ queues.  Each generation performs, in order:
    crossover and random swap mutation, with elitism re-inserting the best
    individual found so far.
 
+A generation whose re-balancing accepts no swap leaves the population as it
+was evaluated, so it is not evaluated again (a one-task batch never swaps).
+
 The population-level work of each generation — decoding, re-balancing,
 crossover and mutation — runs on the whole-population NumPy kernels of
 :class:`~repro.ga.kernels.VectorizedBackend`.  The per-individual
@@ -103,6 +106,9 @@ class GAConfig:
         require_at_least(self.elitism, 0, "elitism")
         if self.elitism >= self.population_size:
             raise ConfigurationError("elitism must be smaller than the population size")
+        # An unknown operator name fails here, not when a run first builds it.
+        self.selection_operator()
+        self.crossover_operator()
 
     def selection_operator(self) -> SelectionOperator:
         """The configured selection operator instance."""
@@ -294,9 +300,11 @@ def _evolve_group(runs: Sequence[_Run]) -> List[GAResult]:
         keep_best(result)
 
         # Re-balancing heuristic (Sect. 3.5): applied to every individual.
+        # With no swap accepted the population, and so its evaluation, is
+        # unchanged.
         if cfg.n_rebalances > 0:
             with timings.measure("rebalance"):
-                backend.rebalance(
+                accepted = backend.rebalance(
                     population,
                     assignments,
                     result.completions.copy(),
@@ -305,10 +313,11 @@ def _evolve_group(runs: Sequence[_Run]) -> List[GAResult]:
                     rngs,
                     cfg.rebalance_probes,
                 )
-            with timings.measure("fitness"):
-                result = evaluate_assignments(assignments, group)
-            # Track the best individual by makespan (Sect. 3.4).
-            keep_best(result)
+            if accepted:
+                with timings.measure("fitness"):
+                    result = evaluate_assignments(assignments, group)
+                # Track the best individual by makespan (Sect. 3.4).
+                keep_best(result)
 
         makespan_history[generation - 1] = best_makespan
         fitness_rows = result.fitness.reshape(n_runs, pop)

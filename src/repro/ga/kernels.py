@@ -38,9 +38,9 @@ generator, as if it ran alone, so a stacked run is bit-identical to its solo
 run.  Per generation, after fitness evaluation, the draws are:
 
 1. **selection** — one batched call of the selection operator
-   (roulette consumes exactly ``population_size`` uniforms via
-   :func:`repro.ga.selection.roulette_select`; tournament consumes one
-   ``(n, k)`` integer block).
+   (roulette consumes exactly ``population_size`` uniforms per problem,
+   spun on the wheels :func:`repro.ga.selection.roulette_rows` builds for
+   the whole group; tournament consumes one ``(n, k)`` integer block).
 2. **crossover gates** — one ``rng.random(n_pairs)`` block
    (``n_pairs = population_size // 2``); pair ``i`` crosses iff
    ``gates[i] < crossover_rate``.  NumPy guarantees a size-``n`` block equals
@@ -67,6 +67,10 @@ equivalent to the loop backend *in distribution*, not bit for bit; the test
 suite verifies it statistically and by its invariants (error never
 increases, permutation preserved), and bit for bit against a row-by-row,
 slot-by-slot reference of its own draw layout.
+
+A block of uniforms equals the same number of sequential draws, so a stage
+may read consecutive blocks in one call: each rebalance round reads its
+candidate uniforms and probe keys in one ``rng.random`` call per problem.
 """
 
 from __future__ import annotations
@@ -282,7 +286,7 @@ def rebalance_group(
     n_rebalances: int,
     rngs: Sequence[np.random.Generator],
     max_probes: int = 5,
-) -> None:
+) -> bool:
     """Apply the paper's re-balancing heuristic to every individual at once.
 
     Mirrors :func:`repro.ga.mutation.rebalance_assignment` across the whole
@@ -295,13 +299,17 @@ def rebalance_group(
     completion-time matrix, all updated in place.  Each row reads its own
     problem's sizes, rates and ψ from *group*.
 
+    Returns whether any row accepted a swap; when none did, all three
+    matrices are unchanged.
+
     Draw layout per round (fixed shape, value-independent): each problem
     draws, from its own generator, one uniform per individual for the
     candidate pick, then one ``(P, n_tasks)`` uniform block whose per-row
-    ranking of the heavy processor's tasks is the probe order.  This
-    matches the loop implementation in distribution (uniform candidate,
-    uniform without-replacement probe order) but not draw for draw, since
-    the loop's draw count depends on each schedule.
+    ranking of the heavy processor's tasks is the probe order, both read in
+    one ``rng.random`` call.  This matches the loop implementation in
+    distribution (uniform candidate, uniform without-replacement probe
+    order) but not draw for draw, since the loop's draw count depends on
+    each schedule.
 
     Within a round a row's state changes only when it accepts a swap, and
     acceptance ends its probing, so every probe slot is scored at once
@@ -331,6 +339,7 @@ def rebalance_group(
     trial_psi = np.repeat(psi, slots, axis=0) if stacked else psi
 
     errors = np.sqrt(((completions - psi) ** 2).sum(axis=1))
+    accepted = False
     for _ in range(n_rebalances):
         heavy = completions.argmax(axis=1)
         heavy_mask = assignments == heavy[:, None]
@@ -340,10 +349,13 @@ def rebalance_group(
         # its probe slots past this limit are not viable.
         probe_limit = np.where(other_counts > 0, heavy_counts, 0)
 
-        candidate_uniform = random_rows(rngs, (per_problem,))
-        probe_keys = random_rows(rngs, (per_problem, n_tasks))
+        # Each problem reads the round's candidate uniforms and probe keys in
+        # one call: the same values, in the same order, as two calls.
+        draws = random_rows(rngs, (per_problem * (n_tasks + 1),)).reshape(len(rngs), -1)
         if not probe_limit.any():
             continue
+        candidate_uniform = draws[:, :per_problem].ravel()
+        probe_keys = draws[:, per_problem:].reshape(pop, n_tasks)
 
         # One sort ranks each row's heavy-processor tasks by their random keys
         # (the probe order) followed by its other tasks in index order.
@@ -373,6 +385,7 @@ def rebalance_group(
         hits = improving[row_ids, first].nonzero()[0]
         if hits.size == 0:
             continue
+        accepted = True
         hit_slots = first[hits]
         probe_tasks = probes[hits, hit_slots]
         candidate_tasks = candidate[hits]
@@ -387,6 +400,7 @@ def rebalance_group(
         cand_pos = (chromosomes == candidate_tasks[:, None]).argmax(axis=1)
         population[hits, probe_pos] = candidate_tasks
         population[hits, cand_pos] = probe_tasks
+    return accepted
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +434,11 @@ class KernelBackend(ABC):
         n_rebalances: int,
         rngs: Sequence[np.random.Generator],
         max_probes: int,
-    ) -> None:
-        """Re-balance every individual, updating all three matrices in place."""
+    ) -> bool:
+        """Re-balance every individual, updating all three matrices in place.
+
+        Returns whether any individual accepted a swap.
+        """
 
     def crossover(
         self,
@@ -537,7 +554,8 @@ class LoopBackend(KernelBackend):
         n_rebalances: int,
         rngs: Sequence[np.random.Generator],
         max_probes: int,
-    ) -> None:
+    ) -> bool:
+        accepted = False
         for idx in range(population.shape[0]):
             problem = group.problems[idx // group.rows]
             outcome = rebalance_many(
@@ -550,6 +568,7 @@ class LoopBackend(KernelBackend):
             )
             if not outcome.improved:
                 continue
+            accepted = True
             # Mirror accepted swaps back into the chromosome so crossover
             # keeps operating on consistent genomes.
             changed = np.nonzero(outcome.assignment != assignments[idx])[0]
@@ -562,6 +581,7 @@ class LoopBackend(KernelBackend):
                 population[idx] = chromosome_from_queues(queues, problem.n_tasks)
             assignments[idx] = outcome.assignment
             completions[idx] = outcome.completions
+        return accepted
 
     @staticmethod
     def _swap_genes(chromosome: np.ndarray, task_a: int, task_b: int) -> None:
@@ -605,8 +625,10 @@ class VectorizedBackend(KernelBackend):
         n_rebalances: int,
         rngs: Sequence[np.random.Generator],
         max_probes: int,
-    ) -> None:
-        rebalance_group(population, assignments, completions, group, n_rebalances, rngs, max_probes)
+    ) -> bool:
+        return rebalance_group(
+            population, assignments, completions, group, n_rebalances, rngs, max_probes
+        )
 
     def _apply_crossover(
         self,

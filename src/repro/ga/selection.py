@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ..util.errors import ConfigurationError
-from ..util.rng import RNGLike, ensure_rng
+from ..util.rng import RNGLike, ensure_rng, random_rows
 from ..util.validation import require_positive_int
 
 __all__ = [
@@ -25,24 +25,37 @@ __all__ = [
     "RankSelection",
     "selection_from_name",
     "roulette_probabilities",
+    "roulette_rows",
     "roulette_select",
 ]
 
 
 def roulette_probabilities(fitness: np.ndarray) -> np.ndarray:
-    """Slot sizes ``ς_i = F_i / Σ F_j`` of the roulette wheel.
+    """Slot sizes ``ς_i = F_i / Σ F_j`` of the roulette wheel, one wheel per
+    row of a 2-D *fitness*.
 
     Degenerate inputs (all-zero or non-finite fitness) fall back to a uniform
-    wheel so selection never fails outright.
+    wheel so selection never fails outright.  Each row is summed along its
+    contiguous axis, pairwise like a 1-D sum, so a row's slots are the same
+    alone or stacked with other rows.
     """
     fitness = np.asarray(fitness, dtype=float)
-    if fitness.ndim != 1 or fitness.size == 0:
-        raise ConfigurationError("fitness must be a non-empty 1-D array")
+    if fitness.ndim not in (1, 2) or fitness.size == 0:
+        raise ConfigurationError("fitness must be a non-empty 1-D or 2-D array")
     safe = np.where(np.isfinite(fitness) & (fitness > 0), fitness, 0.0)
-    total = safe.sum()
-    if total <= 0:
-        return np.full(fitness.size, 1.0 / fitness.size)
+    total = safe.sum(axis=-1, keepdims=True)
+    if np.count_nonzero(total) < total.size:
+        empty = total == 0
+        safe = np.where(empty, 1.0, safe)
+        total = np.where(empty, fitness.shape[-1], total)
     return safe / total
+
+
+def _wheel(fitness: np.ndarray) -> np.ndarray:
+    """The normalised cumulative distribution of each wheel, spun by ``searchsorted``."""
+    wheel = roulette_probabilities(fitness).cumsum(axis=-1)
+    wheel /= wheel[..., -1:]
+    return wheel
 
 
 def roulette_select(fitness: np.ndarray, n: int, rng: RNGLike = None) -> np.ndarray:
@@ -53,15 +66,28 @@ def roulette_select(fitness: np.ndarray, n: int, rng: RNGLike = None) -> np.ndar
     spins ``numpy``'s ``Generator.choice`` performs internally, but spelled
     out so the GA's RNG draw-order contract (see :mod:`repro.ga.kernels`)
     does not depend on ``numpy`` internals.  Both kernel backends select
-    parents through this function, so selection is bit-identical between
-    them for a fixed seed.
+    parents through this wheel, so selection is bit-identical between them
+    for a fixed seed.
     """
     n = require_positive_int(n, "number of selections")
     gen = ensure_rng(rng)
-    probabilities = roulette_probabilities(np.asarray(fitness, dtype=float))
-    wheel = probabilities.cumsum()
-    wheel /= wheel[-1]
-    return wheel.searchsorted(gen.random(n), side="right").astype(np.int64)
+    fitness = np.asarray(fitness, dtype=float)
+    if fitness.ndim != 1:
+        raise ConfigurationError("fitness must be a non-empty 1-D array")
+    return _wheel(fitness).searchsorted(gen.random(n), side="right").astype(np.int64)
+
+
+def roulette_rows(fitness: np.ndarray, spins: np.ndarray) -> np.ndarray:
+    """Spin the roulette wheel of each row of the ``(K, P)`` *fitness* matrix.
+
+    Row ``k`` of *spins* holds the uniforms spun on row ``k``'s wheel; the
+    result holds each row's picked indices, in *spins*' shape, each equal to
+    :func:`roulette_select`'s pick for that row and uniform.
+    """
+    picks = np.empty(spins.shape, dtype=np.int64)
+    for k, row in enumerate(_wheel(fitness)):
+        picks[k] = row.searchsorted(spins[k], side="right")
+    return picks
 
 
 class SelectionOperator(ABC):
@@ -99,6 +125,17 @@ class RouletteWheelSelection(SelectionOperator):
 
     def select(self, fitness: np.ndarray, n: int, rng: RNGLike = None) -> np.ndarray:
         return roulette_select(fitness, n, rng=rng)
+
+    def select_rows(self, fitness: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        if len(rngs) == 1:
+            return roulette_select(fitness[0], fitness.shape[1], rngs[0])
+        # One wheel build serves every stacked problem (cheaper than one per
+        # problem from K = 2 on); each spins its own P uniforms, as
+        # ``select`` would draw them.
+        n_rows, n = fitness.shape
+        picks = roulette_rows(fitness, random_rows(rngs, (n,)).reshape(n_rows, n))
+        picks += np.arange(0, n_rows * n, n)[:, None]
+        return picks.ravel()
 
 
 class TournamentSelection(SelectionOperator):
@@ -149,7 +186,7 @@ def selection_from_name(name: str, **kwargs) -> SelectionOperator:
         "tournament": TournamentSelection,
         "rank": RankSelection,
     }
-    key = name.strip().lower()
+    key = str(name).strip().lower()
     if key not in registry:
         raise ConfigurationError(
             f"unknown selection operator {name!r}; expected one of {sorted(registry)}"

@@ -29,7 +29,7 @@ from ..schedulers.base import (
 from ..schedulers.kernels import default_policy_backend, diversion_target
 from ..util.errors import SimulationError
 from ..util.rng import RNGLike, ensure_rng
-from ..util.smoothing import SmoothedMap
+from ..util.smoothing import NU, SmoothedMap
 from ..workloads.task import Task
 
 __all__ = ["Master"]
@@ -40,9 +40,6 @@ OFFLINE_RATE = 1e-9
 #: Context pending load substituted for offline processors: large enough that
 #: load-aware policies avoid them, finite so GA fitness arithmetic stays sane.
 OFFLINE_LOAD = 1e18
-#: Smoothing factor ν of the master's communication-cost and rate
-#: observations (Γ in Sect. 3.6 of the paper).
-NU = 0.5
 
 
 class Master:

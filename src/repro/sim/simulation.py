@@ -87,7 +87,7 @@ class SimulationConfig:
     """Knobs of the simulated environment (not of any particular scheduler).
 
     Every run completes every task; the master smooths its observations with
-    the paper's ν = 0.5 (:data:`repro.sim.master.NU`).
+    the paper's ν = 0.5 (:data:`repro.util.smoothing.NU`).
     """
 
     #: Hard cap on processed events (guards against event storms).

@@ -19,7 +19,11 @@ from typing import Dict, Hashable, Iterable, Optional
 
 from .errors import ConfigurationError
 
-__all__ = ["ExponentialSmoother", "SmoothedMap", "smooth_sequence"]
+__all__ = ["NU", "ExponentialSmoother", "SmoothedMap", "smooth_sequence"]
+
+#: The smoothing factor ν of the scheduler's Γ estimates of communication
+#: costs and processor rates (the master's and PN's own).
+NU = 0.5
 
 
 @dataclass

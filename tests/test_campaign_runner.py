@@ -402,6 +402,48 @@ class TestPoolGroups:
             [["figure:fig6"], pn[:4], pn[4:8], pn[8:]] + [[i] for i in ids if "/EF/" in i]
         )
 
+    def test_cells_whose_tasks_arrive_over_time_share_a_group(self, tmp_path):
+        spec = CampaignSpec(
+            name="arrival-groups",
+            scale="smoke",
+            seed=7,
+            scenarios=("diurnal-load", "steady-state", "failure-storm", "trace-bursty"),
+            schedulers=("PN", "ZO", "EF"),
+            repeats=1,
+        )
+        cells = expand_campaign(spec).cells
+
+        def cell(scenario, scheduler):
+            return f"scenario:{scenario}/{scheduler}/r0"
+
+        # diurnal-load and trace-bursty arrive over time, the other two at
+        # once: per GA scheduler one group of each arrival class, each where
+        # its first cell sits, so the over-time groups come first.
+        over_time = ("diurnal-load", "trace-bursty")
+        at_once = ("steady-state", "failure-storm")
+        assert _ids(runner_module._pool_jobs(cells, 2)) == [
+            [cell(s, "PN") for s in over_time],
+            [cell(s, "ZO") for s in over_time],
+            [cell("diurnal-load", "EF")],
+            [cell(s, "PN") for s in at_once],
+            [cell(s, "ZO") for s in at_once],
+            [cell("steady-state", "EF")],
+            [cell("failure-storm", "EF")],
+            [cell("trace-bursty", "EF")],
+        ]
+
+        serial = run_campaign(spec, ResultStore(tmp_path / "serial"))
+        with telemetry_session() as session:
+            with ParallelExecutor(2) as executor:
+                pooled = run_campaign(spec, ResultStore(tmp_path / "pool"), executor=executor)
+        assert serial.complete and pooled.complete
+        assert pooled.aggregates == serial.aggregates
+        # The one-task GA runs of the two over-time PN cells stack.
+        assert any(
+            s.name == "ga:evolve" and s.attrs["n_tasks"] == 1 and s.attrs["stacked"] >= 2
+            for s in session.spans
+        )
+
     def test_serial_and_pool_aggregates_equal_the_direct_matrix(
         self, ga_spec, ga_reference, tmp_path
     ):

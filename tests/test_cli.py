@@ -356,6 +356,22 @@ class TestCampaignsCLI:
         assert f"error: GAConfig has no field named '{parameter}'" in err
         assert not store.exists()
 
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            (["population_size", "20", "1"], "population_size must be at least 2"),
+            (["elitism", "20"], "elitism must be smaller than the population size"),
+            (["selection", "roulette", "bogus"], "unknown selection operator 'bogus'"),
+        ],
+    )
+    def test_invalid_sweep_value_exits_2_before_creating_the_store(
+        self, capsys, tmp_path, sweep, message
+    ):
+        store = tmp_path / "store"
+        assert main(self._run_args(store, ["--sweep", *sweep])) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not store.exists()
+
     def test_resuming_a_sweep_over_a_retired_field_exits_2(self, capsys, tmp_path):
         store = tmp_path / "store"
         assert main(self._run_args(store, ["--max-cells", "1"])) == 3

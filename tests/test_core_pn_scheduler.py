@@ -46,10 +46,6 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             PNScheduler(n_processors=0)
 
-    def test_invalid_smoothing_factor(self):
-        with pytest.raises(ConfigurationError):
-            PNScheduler(n_processors=2, comm_nu=1.5)
-
 
 class TestScheduling:
     def test_assigns_every_task(self):
@@ -62,14 +58,17 @@ class TestScheduling:
         assignment = quick_pn().schedule([], make_context([10.0, 10.0, 10.0]))
         assert assignment.n_tasks == 0
 
-    def test_history_accumulates(self):
+    def test_counts_batches_and_keeps_only_the_last_result(self):
         scheduler = quick_pn()
         ctx = make_context([10.0, 20.0, 40.0])
+        assert scheduler.last_result is None and scheduler.batches == 0
         scheduler.schedule([Task(0, 10.0), Task(1, 20.0)], ctx)
-        scheduler.schedule([Task(2, 10.0), Task(3, 20.0)], ctx)
-        assert len(scheduler.history) == 2
-        assert scheduler.last_result is scheduler.history[-1]
-        assert scheduler.total_generations() >= 2
+        first = scheduler.last_result
+        assignment = scheduler.schedule([Task(2, 10.0), Task(3, 20.0)], ctx)
+        last = scheduler.last_result
+        assert scheduler.batches == 2
+        assert last is not first and last.best_queues == assignment.queues()
+        assert scheduler.total_generations() == first.generations + last.generations == 20
 
     def test_mismatched_context_rejected(self):
         scheduler = quick_pn(n_processors=3)
@@ -87,21 +86,26 @@ class TestScheduling:
         # Processor 1 is observed to have a huge dispatch cost; with two equal
         # processors the GA should then load processor 0 more heavily.
         config = default_pn_ga_config(max_generations=40)
-        scheduler = PNScheduler(n_processors=2, ga_config=config, comm_nu=1.0, rng=1)
-        for _ in range(5):
-            scheduler.observe_communication(1, 50.0, time=0.0)
+        scheduler = PNScheduler(n_processors=2, ga_config=config, rng=1)
+        for cost in (10.0, 50.0, 90.0):
+            scheduler.observe_communication(1, cost, time=0.0)
             scheduler.observe_communication(0, 0.1, time=0.0)
+        # Γ with ν = 0.5: 10, then 10 + (50 - 10)/2 = 30, then 30 + (90 - 30)/2 = 60.
+        costs = scheduler._effective_comm_costs(make_context([10.0, 10.0], comm=[1.0, 1.0]))
+        assert costs.tolist() == [0.1, 60.0]
         tasks = [Task(i, 100.0) for i in range(10)]
         assignment = scheduler.schedule(tasks, make_context([10.0, 10.0]))
         counts = assignment.counts()
         assert counts[0] > counts[1]
 
     def test_observe_completion_updates_rate_estimates(self):
-        scheduler = quick_pn(n_processors=2, rate_nu=1.0)
-        # processor 0 is observed to be much slower than its nominal rating
+        scheduler = quick_pn(n_processors=2)
+        # processor 0 is observed to be much slower than its nominal rating:
+        # effective rates of 1 then 3 Mflop/s, smoothed with ν = 0.5.
         scheduler.observe_completion(0, Task(0, 100.0), processing_time=100.0, time=0.0)
+        scheduler.observe_completion(0, Task(1, 300.0), processing_time=100.0, time=0.0)
         rates = scheduler._effective_rates(make_context([50.0, 50.0]))
-        assert rates[0] == pytest.approx(1.0)
+        assert rates[0] == pytest.approx(2.0)
         assert rates[1] == pytest.approx(50.0)
 
     def test_reset_clears_learned_state(self):
@@ -109,7 +113,8 @@ class TestScheduling:
         scheduler.observe_communication(0, 5.0, time=0.0)
         scheduler.schedule([Task(0, 10.0)], make_context([10.0, 10.0]))
         scheduler.reset()
-        assert scheduler.history == []
+        assert scheduler.last_result is None
+        assert scheduler.batches == 0 and scheduler.total_generations() == 0
         assert scheduler.comm_estimator.estimate(0) == 0.0
 
 

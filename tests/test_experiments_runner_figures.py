@@ -22,6 +22,7 @@ from repro.experiments import (
     run_figure,
     sweep_ga_parameter,
 )
+from repro.campaigns import CampaignSpec, SweepSpec
 from repro.schedulers import ALL_SCHEDULER_NAMES
 from repro.experiments.sweep import build_sweep_jobs
 from repro.util.errors import ConfigurationError
@@ -199,6 +200,17 @@ class TestSweep:
     def test_sweep_unknown_parameter_rejected(self, tiny_scale):
         with pytest.raises(ConfigurationError):
             sweep_ga_parameter("warp_factor", [1], scale=tiny_scale, repeats=1)
+
+    @pytest.mark.parametrize(
+        "parameter, value", [("population_size", 1), ("mutation_rate", 1.5), ("crossover", "x")]
+    )
+    def test_build_sweep_jobs_refuses_an_invalid_value(self, tiny_scale, parameter, value):
+        with pytest.raises(ConfigurationError):
+            build_sweep_jobs(parameter, [value], scale=tiny_scale, repeats=1)
+        # The sweep names a GAConfig field; the campaign refuses its value.
+        sweep = SweepSpec(parameter, (value,))
+        with pytest.raises(ConfigurationError):
+            CampaignSpec(name="x", scale="smoke", sweeps=(sweep,))
 
     @pytest.mark.parametrize("parameter", NOT_GA_FIELDS)
     def test_build_sweep_jobs_takes_only_ga_config_fields(self, tiny_scale, parameter):

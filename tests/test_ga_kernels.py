@@ -40,6 +40,7 @@ from repro.ga import (
     draw_swap_positions,
     evaluate_assignments,
     rebalance_group,
+    roulette_probabilities,
     roulette_select,
     swap_positions_batch,
     validate_chromosome,
@@ -50,6 +51,8 @@ from repro.ga.kernels import cycle_labels
 from repro.ga.mutation import apply_position_swaps
 from repro.ga.encoding import chromosome_from_queues
 from repro.ga.population import random_population, seeded_population
+from repro.ga.selection import RouletteWheelSelection, SelectionOperator, roulette_rows
+from repro.parallel import SerialExecutor
 from repro.util.errors import ConfigurationError
 
 #: The reference kernels and the ones every run evolves on, built directly.
@@ -234,6 +237,46 @@ class TestRouletteDrawContract:
         )
         got = roulette_select(fitness, 64, rng=17)
         assert np.array_equal(got, expected)
+
+    @given(
+        n=st.sampled_from([2, 3, 7, 8, 9, 16, 17, 20, 33, 200]),
+        k=st.sampled_from([1, 2, 5]),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_stacked_wheel_equals_per_row_roulette_select(self, n, k, data):
+        # One wheel per row of a (K, P) matrix: the row sums must equal the
+        # 1-D sums across NumPy's pairwise-summation block sizes, and
+        # degenerate rows (zero total, inf, NaN, an overflowing sum) must
+        # spin like roulette_select's.
+        fitness_row = st.one_of(
+            st.lists(st.floats(0.0, 1e300), min_size=n, max_size=n),
+            st.lists(st.floats(), min_size=n, max_size=n),
+            st.just([0.0] * n),
+            st.just([1e308] * n),
+        )
+        fitness = np.array([data.draw(fitness_row) for _ in range(k)], dtype=float).reshape(k, n)
+        seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=k, max_size=k))
+        expected_rngs = [np.random.default_rng(seed) for seed in seeds]
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        with np.errstate(all="ignore"):
+            expected = [
+                roulette_select(fitness[i], n, rng=expected_rngs[i]) + i * n for i in range(k)
+            ]
+            got = RouletteWheelSelection().select_rows(fitness, rngs)
+            assert np.array_equal(got, np.concatenate(expected))
+            assert [r.bit_generator.state for r in rngs] == [
+                r.bit_generator.state for r in expected_rngs
+            ]
+            # Spins at each slot edge of the wheel roulette_select builds, and
+            # one ulp either side: a wheel off by one bit picks differently.
+            wheels = [roulette_probabilities(fitness[i]).cumsum() for i in range(k)]
+            for wheel in wheels:
+                wheel /= wheel[-1]
+            edges = np.nan_to_num(np.array(wheels), nan=0.5)
+            spins = np.hstack([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)])
+            expected = [wheel.searchsorted(row, side="right") for wheel, row in zip(wheels, spins)]
+            assert np.array_equal(roulette_rows(fitness, spins), expected)
 
 
 class TestVectorizedRebalance:
@@ -438,12 +481,14 @@ def reference_rebalance(population, assignments, completions, problem, n_rebalan
 
     Same draws (one ``rng.random(pop)`` for the candidates, then one
     ``rng.random((pop, n_tasks))`` probe-key block per round), same accept
-    test, same in-place updates of all three matrices.
+    test, same in-place updates of all three matrices; returns whether any
+    row accepted a swap.
     """
     pop, n_tasks = assignments.shape
     sizes, rates = problem.sizes, problem.rates
     psi = problem.optimal_time()
     errors = [np.sqrt(np.sum((completions[row] - psi) ** 2)) for row in range(pop)]
+    accepted = False
     for _ in range(n_rebalances):
         candidate_uniform = rng.random(pop)
         probe_keys = rng.random((pop, n_tasks))
@@ -476,7 +521,9 @@ def reference_rebalance(population, assignments, completions, problem, n_rebalan
                 probe_pos = int(np.argmax(chromosome == probe))
                 cand_pos = int(np.argmax(chromosome == candidate))
                 chromosome[probe_pos], chromosome[cand_pos] = candidate, probe
+                accepted = True
                 break
+    return accepted
 
 
 def reference_seeded_population(problem, pop, random_fraction, rng):
@@ -566,15 +613,18 @@ class TestKernelBitIdentity:
         expected = [population.copy(), assignments.copy(), completions.copy()]
         got_rng = np.random.default_rng(seed + 1)
         expected_rng = np.random.default_rng(seed + 1)
-        rebalance_group(
+        start = [population.copy(), assignments.copy(), completions.copy()]
+        accepted = rebalance_group(
             *got, ProblemGroup([problem], pop), n_rebalances, [got_rng], max_probes=max_probes
         )
-        reference_rebalance(
+        assert accepted == reference_rebalance(
             *expected, problem, n_rebalances, expected_rng, max_probes
         )
         for got_matrix, expected_matrix in zip(got, expected):
             assert np.array_equal(got_matrix, expected_matrix)
         assert got_rng.bit_generator.state == expected_rng.bit_generator.state
+        if not accepted:
+            assert all(np.array_equal(a, b) for a, b in zip(got, start))
 
     @given(**shapes, random_fraction=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
     @settings(max_examples=60, deadline=None)
@@ -588,3 +638,81 @@ class TestKernelBitIdentity:
         expected = reference_seeded_population(problem, pop, random_fraction, expected_rng)
         assert np.array_equal(got, expected)
         assert got_rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# The stacked roulette wheel, and the engine's skipped re-evaluation
+# ---------------------------------------------------------------------------
+
+
+class _PerRowRoulette(SelectionOperator):
+    """Roulette selection through the base ``select_rows``: one
+    ``roulette_select`` wheel per problem, not one build for the stack."""
+
+    name = "roulette"
+
+    def select(self, fitness, n, rng=None):
+        return roulette_select(fitness, n, rng=rng)
+
+
+class _AlwaysAccepts(VectorizedBackend):
+    """Kernels whose rebalance reports an accepted swap every time."""
+
+    def rebalance(self, *args):
+        super().rebalance(*args)
+        return True
+
+
+def result_fields(result):
+    """Every outcome field of a GAResult: the golden-hashed ones and the bests."""
+    return (
+        result.best_assignment.tolist(),
+        result.best_queues,
+        result.makespan_history,
+        result.mean_fitness_history,
+        result.generations,
+        result.stop_reason.value,
+        result.best_makespan,
+        result.best_error,
+        result.best_fitness,
+        result.initial_best_makespan,
+    )
+
+
+def _evolve_seeded(config, problem, seed):
+    rng = np.random.default_rng(seed)
+    result = GeneticAlgorithm(config, rng=rng).evolve(problem)
+    return result_fields(result), rng.bit_generator.state
+
+
+class TestStackedRoulette:
+    @pytest.mark.parametrize("n_rebalances", [0, 1, 5])
+    @pytest.mark.parametrize("n_tasks", [1, 2, 10])
+    @pytest.mark.parametrize("pop", [2, 7, 20])
+    def test_stacked_runs_equal_per_row_solo_runs(self, pop, n_tasks, n_rebalances):
+        problem = random_problem(np.random.default_rng(n_tasks), n_tasks, 4)
+        config = dict(population_size=pop, max_generations=9, n_rebalances=n_rebalances)
+
+        def evolve(seed):
+            rng = np.random.default_rng(seed)
+            result = GeneticAlgorithm(GAConfig(**config), rng=rng).evolve(problem)
+            return result, rng.bit_generator.state
+
+        stacked = SerialExecutor().map(evolve, [11, 12, 13])
+        assert [result.stacked for result, _ in stacked] == [3, 3, 3]
+        for seed, (result, state) in zip([11, 12, 13], stacked):
+            solo = _evolve_seeded(GAConfig(selection=_PerRowRoulette(), **config), problem, seed)
+            assert (result_fields(result), state) == solo
+
+    def test_one_task_run_evaluates_each_generation_once(self, monkeypatch):
+        # One task can never be swapped, so no generation re-evaluates after
+        # its rebalance; the result is the one of re-evaluating every time.
+        problem = random_problem(np.random.default_rng(3), 1, 5)
+        config = GAConfig(max_generations=25, n_rebalances=1)
+        result = GeneticAlgorithm(config, rng=4).evolve(problem)
+        assert result.timings.counts["fitness"] == 25
+        assert result.timings.counts["rebalance"] == 25
+        monkeypatch.setattr(engine_module, "_KERNELS", _AlwaysAccepts())
+        reference = GeneticAlgorithm(config, rng=4).evolve(problem)
+        assert reference.timings.counts["fitness"] == 50
+        assert result_fields(result) == result_fields(reference)

@@ -104,6 +104,9 @@ class TestGAConfig:
             dict(elitism=20, population_size=20),
             dict(max_generations=0),
             dict(swaps_per_mutation=0),
+            dict(selection="bogus"),
+            dict(crossover="bogus"),
+            dict(selection=1),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

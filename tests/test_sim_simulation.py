@@ -161,7 +161,7 @@ class TestDynamicBehaviour:
         result = simulate_schedule(scheduler, random_cluster, tasks, rng=4)
         assert result.metrics.tasks_completed == 60
         assert result.scheduler_invocations >= 1
-        assert len(scheduler.history) == result.scheduler_invocations
+        assert scheduler.batches == result.scheduler_invocations
 
     def test_batch_sizes_recorded(self, random_cluster):
         tasks = generate_workload(WorkloadSpec(n_tasks=30, sizes=UniformSizes(50, 500)), rng=3)
