@@ -22,7 +22,6 @@ from .encoding import (
 from .engine import GAConfig, GAResult, GAStopReason, GeneticAlgorithm
 from .kernels import (
     KernelBackend,
-    LoopBackend,
     VectorizedBackend,
     cycle_crossover_batch,
     decode_population,
@@ -105,7 +104,6 @@ __all__ = [
     "rebalance_many",
     # kernels
     "KernelBackend",
-    "LoopBackend",
     "VectorizedBackend",
     "cycle_crossover_batch",
     "decode_population",

@@ -17,9 +17,9 @@ was evaluated, so it is not evaluated again (a one-task batch never swaps).
 
 The population-level work of each generation — decoding, re-balancing,
 crossover and mutation — runs on the whole-population NumPy kernels of
-:class:`~repro.ga.kernels.VectorizedBackend`.  The per-individual
-:class:`~repro.ga.kernels.LoopBackend` follows the same RNG draw-order
-contract and is the test oracle the kernels are held to.
+:class:`~repro.ga.kernels.VectorizedBackend`, held by the test suite to a
+per-individual loop reference that follows the same RNG draw-order
+contract (see :mod:`repro.ga.kernels`).
 
 Stacked runs
 ------------
@@ -64,8 +64,9 @@ class GAStopReason(enum.Enum):
     MAX_GENERATIONS = "max_generations"
 
 
-#: The kernels every run evolves on.  Tests patch in
-#: :class:`~repro.ga.kernels.LoopBackend` to hold whole runs to the reference.
+#: The kernels every run evolves on.  Tests patch in the per-individual loop
+#: reference (another :class:`~repro.ga.kernels.KernelBackend`) to hold whole
+#: runs to it.
 _KERNELS = VectorizedBackend()
 
 

@@ -1,4 +1,4 @@
-"""Population-batched GA operator kernels and their per-individual reference.
+"""Population-batched GA operator kernels.
 
 The GA engine spends its generations in four operator stages — selection,
 crossover, mutation, re-balancing — plus chromosome decoding.  The original
@@ -8,17 +8,15 @@ time in Python; this module batches every stage over the whole
 that made fitness evaluation tractable (one ``bincount`` per population in
 :mod:`repro.ga.fitness`).
 
-Two backends implement the per-generation work:
-
-* :class:`VectorizedBackend` — the kernels every GA run evolves on:
-  whole-population array kernels, with cycle crossover via flat-index
-  pointer doubling, batched swap application, and a rebalance that scores
-  every probe slot of a round at once from the completion times it already
-  holds;
-* :class:`LoopBackend` — the reference implementation the kernels are
-  tested against: operators are applied per individual / per pair with the
-  original operator functions.  No experiment runs on it; tests build it
-  directly (and patch it into the engine to evolve whole runs on it).
+Every GA run evolves on :class:`VectorizedBackend`: whole-population array
+kernels, with cycle crossover via flat-index pointer doubling, batched swap
+application, and a rebalance that scores every probe slot of a round at once
+from the completion times it already holds.  It implements
+:class:`KernelBackend`, which makes the random draws of crossover and
+mutation itself.  The test suite holds the kernels to a per-individual loop
+reference, another :class:`KernelBackend` that applies the original operator
+functions one individual (or one parent pair) at a time, so both read the
+identical streams by construction.
 
 A population of 20 chromosomes of ~20 genes is tiny, so these kernels cost
 what their NumPy calls cost, not what their arithmetic costs: they are
@@ -30,12 +28,13 @@ which draws from its own generator ``rngs[k]``.  A solo run is a group of one.
 
 RNG draw-order contract
 -----------------------
-Both backends consume the engine's random stream in the same documented
-order, so that wherever an operator is *deterministic given its draws* the
-two backends produce bit-identical populations for a fixed seed.  In a
-stacked group every problem makes exactly these draws from its own
-generator, as if it ran alone, so a stacked run is bit-identical to its solo
-run.  Per generation, after fitness evaluation, the draws are:
+The kernels and the per-individual reference consume the engine's random
+stream in the same documented order, so that wherever an operator is
+*deterministic given its draws* the two produce bit-identical populations
+for a fixed seed.  In a stacked group every problem makes exactly these
+draws from its own generator, as if it ran alone, so a stacked run is
+bit-identical to its solo run.  Per generation, after fitness evaluation,
+the draws are:
 
 1. **selection** — one batched call of the selection operator
    (roulette consumes exactly ``population_size`` uniforms per problem,
@@ -44,10 +43,10 @@ run.  Per generation, after fitness evaluation, the draws are:
 2. **crossover gates** — one ``rng.random(n_pairs)`` block
    (``n_pairs = population_size // 2``); pair ``i`` crosses iff
    ``gates[i] < crossover_rate``.  NumPy guarantees a size-``n`` block equals
-   ``n`` sequential scalar draws, so the loop backend may draw per pair.
+   ``n`` sequential scalar draws, so a per-pair loop may draw per pair.
 3. **crossover operator draws** — none for cycle crossover (it is
    deterministic given the parents); operators that do draw (PMX, OX) are
-   applied pair by pair in ascending pair order by *both* backends.
+   applied pair by pair in ascending pair order by every backend.
 4. **mutation gates** — one ``rng.random(population_size)`` block;
    individual ``i`` mutates iff ``gates[i] < mutation_rate``.
 5. **swap positions** — two integer blocks via :func:`draw_swap_positions`:
@@ -58,15 +57,16 @@ run.  Per generation, after fitness evaluation, the draws are:
    reads the stream exactly as ``rng.integers(0, L, size=n)`` followed by
    ``rng.integers(0, L - 1, size=n)``.
 
-Stages 2–5 are therefore bit-identical between backends.  The re-balancing
+Stages 2–5 are therefore bit-identical to the reference.  The re-balancing
 heuristic and selection make *value-dependent* random draws (which tasks to
 probe depends on the current schedule), so the vectorized rebalance uses its
 own fixed-shape draw layout (one uniform per individual for the candidate,
 one ``(pop, n_tasks)`` uniform block for the probe order per round) and is
-equivalent to the loop backend *in distribution*, not bit for bit; the test
-suite verifies it statistically and by its invariants (error never
-increases, permutation preserved), and bit for bit against a row-by-row,
-slot-by-slot reference of its own draw layout.
+equivalent to the reference's :func:`~repro.ga.mutation.rebalance_many`
+*in distribution*, not bit for bit; the test suite verifies it
+statistically and by its invariants (error never increases, permutation
+preserved), and bit for bit against a row-by-row, slot-by-slot reference of
+its own draw layout.
 
 A block of uniforms equals the same number of sequential draws, so a stage
 may read consecutive blocks in one call: each rebalance round reads its
@@ -83,13 +83,10 @@ import numpy as np
 from ..util.errors import ConfigurationError, EncodingError
 from ..util.rng import random_rows
 from .crossover import CrossoverOperator, CycleCrossover
-from .encoding import chromosome_from_queues, decode_assignment
-from .mutation import apply_position_swaps, rebalance_many
 from .problem import ProblemGroup
 
 __all__ = [
     "KernelBackend",
-    "LoopBackend",
     "VectorizedBackend",
     "cycle_crossover_batch",
     "cycle_labels",
@@ -111,7 +108,7 @@ def draw_swap_positions(
     Returns two ``(n_rows, n_swaps)`` integer arrays ``(i, j)`` with
     ``i != j`` elementwise, uniform over ordered distinct position pairs.
     The draws are consumed as two blocks (all first positions, then all
-    partner positions) so both backends read the identical stream; a block
+    partner positions) so every backend reads the identical stream; a block
     of ``rng.integers`` is bit-identical to the same number of sequential
     scalar draws.  Both blocks come from one ``integers`` call with one
     upper bound per draw, which makes the same draws, in the same order, as
@@ -394,7 +391,7 @@ def rebalance_group(
         completions[hits] = trials[hits * slots + hit_slots]
         errors[hits] = new_errors[hits, hit_slots]
         # Mirror each accepted task swap into the chromosome row: the two
-        # task genes exchange positions, exactly like the loop backend.
+        # task genes exchange positions, exactly like the loop reference.
         chromosomes = population[hits]
         probe_pos = (chromosomes == probe_tasks[:, None]).argmax(axis=1)
         cand_pos = (chromosomes == candidate_tasks[:, None]).argmax(axis=1)
@@ -534,82 +531,6 @@ class KernelBackend(ABC):
         return f"{type(self).__name__}()"
 
 
-class LoopBackend(KernelBackend):
-    """Reference backend: per-individual Python loops over the original operators."""
-
-    def decode(self, population: np.ndarray, group: ProblemGroup) -> np.ndarray:
-        return np.vstack(
-            [
-                decode_assignment(chromosome, group.n_tasks, group.n_processors)
-                for chromosome in population
-            ]
-        )
-
-    def rebalance(
-        self,
-        population: np.ndarray,
-        assignments: np.ndarray,
-        completions: np.ndarray,
-        group: ProblemGroup,
-        n_rebalances: int,
-        rngs: Sequence[np.random.Generator],
-        max_probes: int,
-    ) -> bool:
-        accepted = False
-        for idx in range(population.shape[0]):
-            problem = group.problems[idx // group.rows]
-            outcome = rebalance_many(
-                assignments[idx],
-                completions[idx],
-                problem,
-                n_rebalances,
-                rng=rngs[idx // group.rows],
-                max_probes=max_probes,
-            )
-            if not outcome.improved:
-                continue
-            accepted = True
-            # Mirror accepted swaps back into the chromosome so crossover
-            # keeps operating on consistent genomes.
-            changed = np.nonzero(outcome.assignment != assignments[idx])[0]
-            if changed.size == 2:
-                self._swap_genes(population[idx], int(changed[0]), int(changed[1]))
-            else:  # several sequential swaps: rebuild via queues
-                queues = [[] for _ in range(problem.n_processors)]
-                for task_index, proc in enumerate(outcome.assignment):
-                    queues[int(proc)].append(int(task_index))
-                population[idx] = chromosome_from_queues(queues, problem.n_tasks)
-            assignments[idx] = outcome.assignment
-            completions[idx] = outcome.completions
-        return accepted
-
-    @staticmethod
-    def _swap_genes(chromosome: np.ndarray, task_a: int, task_b: int) -> None:
-        pos_a = int(np.nonzero(chromosome == task_a)[0][0])
-        pos_b = int(np.nonzero(chromosome == task_b)[0][0])
-        chromosome[pos_a], chromosome[pos_b] = chromosome[pos_b], chromosome[pos_a]
-
-    def _apply_crossover(
-        self,
-        parents: np.ndarray,
-        first_rows: np.ndarray,
-        operator: CrossoverOperator,
-        rngs: Sequence[np.random.Generator],
-        per_problem: int,
-    ) -> None:
-        self._cross_pairs_sequentially(parents, first_rows, operator, rngs, per_problem)
-
-    def _apply_swaps(
-        self,
-        population: np.ndarray,
-        rows: np.ndarray,
-        i_pos: np.ndarray,
-        j_pos: np.ndarray,
-    ) -> None:
-        for local, row in enumerate(rows):
-            apply_position_swaps(population[row], i_pos[local], j_pos[local])
-
-
 class VectorizedBackend(KernelBackend):
     """Array-native backend: every stage operates on the whole population matrix."""
 
@@ -642,7 +563,7 @@ class VectorizedBackend(KernelBackend):
         # substitutes for the genuine CycleCrossover operator (subclasses may
         # override cross() and must not be silently re-routed).  Every other
         # operator — including ones that draw per pair, like PMX and OX —
-        # follows contract stage 3, identical to the loop backend.
+        # follows contract stage 3, identical to the loop reference.
         if type(operator) is CycleCrossover:
             second_rows = first_rows + 1
             children_a, children_b = cycle_crossover_batch(

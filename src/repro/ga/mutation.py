@@ -58,8 +58,8 @@ def apply_position_swaps(
 
     This is the deterministic half of swap mutation: the position pairs are
     drawn separately (see :func:`repro.ga.kernels.draw_swap_positions`) so the
-    loop and vectorized backends can share one stream of draws and produce
-    bit-identical children.
+    vectorized kernels and their per-individual loop reference can share one
+    stream of draws and produce bit-identical children.
     """
     for i, j in zip(i_positions, j_positions):
         chromosome[i], chromosome[j] = chromosome[j], chromosome[i]

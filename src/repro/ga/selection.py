@@ -35,15 +35,22 @@ def roulette_probabilities(fitness: np.ndarray) -> np.ndarray:
     row of a 2-D *fitness*.
 
     Degenerate inputs (all-zero or non-finite fitness) fall back to a uniform
-    wheel so selection never fails outright.  Each row is summed along its
-    contiguous axis, pairwise like a 1-D sum, so a row's slots are the same
-    alone or stacked with other rows.
+    wheel so selection never fails outright.  A row of finite slots whose sum
+    overflows is divided by its largest slot first, so its wheel stays
+    proportional to fitness.  Each row is summed along its contiguous axis,
+    pairwise like a 1-D sum, so a row's slots are the same alone or stacked
+    with other rows.
     """
     fitness = np.asarray(fitness, dtype=float)
     if fitness.ndim not in (1, 2) or fitness.size == 0:
         raise ConfigurationError("fitness must be a non-empty 1-D or 2-D array")
     safe = np.where(np.isfinite(fitness) & (fitness > 0), fitness, 0.0)
     total = safe.sum(axis=-1, keepdims=True)
+    overflow = total == np.inf
+    if np.count_nonzero(overflow):
+        # Dividing by 1.0 is exact, so rows with a finite total keep their bits.
+        safe = safe / np.where(overflow, safe.max(axis=-1, keepdims=True), 1.0)
+        total = safe.sum(axis=-1, keepdims=True)
     if np.count_nonzero(total) < total.size:
         empty = total == 0
         safe = np.where(empty, 1.0, safe)
@@ -65,7 +72,7 @@ def roulette_select(fitness: np.ndarray, n: int, rng: RNGLike = None) -> np.ndar
     them through the wheel's normalised cumulative distribution — the same
     spins ``numpy``'s ``Generator.choice`` performs internally, but spelled
     out so the GA's RNG draw-order contract (see :mod:`repro.ga.kernels`)
-    does not depend on ``numpy`` internals.  Both kernel backends select
+    does not depend on ``numpy`` internals.  Every kernel backend selects
     parents through this wheel, so selection is bit-identical between them
     for a fixed seed.
     """

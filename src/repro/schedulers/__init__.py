@@ -14,20 +14,6 @@ from .base import (
     SchedulingContext,
 )
 from .earliest_first import EarliestFirstScheduler
-from .kernels import (
-    POLICY_BACKEND_NAMES,
-    LoopPolicyBackend,
-    PolicyKernelBackend,
-    VectorizedPolicyBackend,
-    default_policy_backend,
-    policy_backend_from_name,
-)
-from .extended import (
-    EXTENDED_SCHEDULER_NAMES,
-    MinimumExecutionTimeScheduler,
-    OpportunisticLoadBalancingScheduler,
-    SufferageScheduler,
-)
 from .lightest_loaded import LightestLoadedScheduler
 from .max_min import MaxMinScheduler
 from .min_min import MinMinScheduler
@@ -55,19 +41,9 @@ __all__ = [
     "MaxMinScheduler",
     "ZomayaScheduler",
     "default_zomaya_ga_config",
-    "MinimumExecutionTimeScheduler",
-    "OpportunisticLoadBalancingScheduler",
-    "SufferageScheduler",
-    "EXTENDED_SCHEDULER_NAMES",
     "ALL_SCHEDULER_NAMES",
     "IMMEDIATE_SCHEDULER_NAMES",
     "BATCH_SCHEDULER_NAMES",
     "make_scheduler",
     "make_all_schedulers",
-    "POLICY_BACKEND_NAMES",
-    "PolicyKernelBackend",
-    "LoopPolicyBackend",
-    "VectorizedPolicyBackend",
-    "policy_backend_from_name",
-    "default_policy_backend",
 ]

@@ -20,7 +20,6 @@ import numpy as np
 from ..util.errors import ConfigurationError, SchedulingError
 from ..util.rng import ensure_rng
 from ..workloads.task import Task
-from .kernels import PolicyKernelBackend, default_policy_backend
 
 __all__ = [
     "SchedulerMode",
@@ -61,11 +60,6 @@ class SchedulingContext:
         link (the smoothed ``Γ_c`` estimates; zero when nothing is known).
     rng:
         Randomness source the policy may use (GA schedulers do).
-    kernels:
-        The policy-kernel backend the heuristic policies compute their
-        decisions through (see :mod:`repro.schedulers.kernels`).  Both
-        backends are bit-identical; ``None`` selects the default
-        (vectorized) backend.
     online:
         Bool mask of the processors currently in the cluster, ``None`` when
         every processor is online (an all-true mask is normalised to
@@ -80,7 +74,6 @@ class SchedulingContext:
     pending_loads: np.ndarray
     comm_costs: np.ndarray
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
-    kernels: Optional[PolicyKernelBackend] = None
     online: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
@@ -99,12 +92,6 @@ class SchedulingContext:
         if np.any(self.pending_loads < 0) or np.any(self.comm_costs < 0):
             raise ConfigurationError("pending loads and comm costs must be non-negative")
         self.rng = ensure_rng(self.rng)
-        if self.kernels is None:
-            self.kernels = default_policy_backend()
-        elif not isinstance(self.kernels, PolicyKernelBackend):
-            raise ConfigurationError(
-                f"kernels must be a PolicyKernelBackend, got {type(self.kernels).__name__}"
-            )
         if self.online is not None:
             online = np.asarray(self.online, dtype=bool)
             if online.shape != (m,):
@@ -121,7 +108,6 @@ class SchedulingContext:
         pending_loads: np.ndarray,
         comm_costs: np.ndarray,
         rng: np.random.Generator,
-        kernels: Optional[PolicyKernelBackend] = None,
         online: Optional[np.ndarray] = None,
     ) -> "SchedulingContext":
         """Build a context from already-validated float64 arrays.
@@ -137,7 +123,6 @@ class SchedulingContext:
         ctx.pending_loads = pending_loads
         ctx.comm_costs = comm_costs
         ctx.rng = rng
-        ctx.kernels = kernels if kernels is not None else default_policy_backend()
         ctx.online = online
         return ctx
 
@@ -164,7 +149,6 @@ class SchedulingContext:
             self.pending_loads.copy(),
             self.comm_costs.copy(),
             self.rng,
-            self.kernels,
             None if self.online is None else self.online.copy(),
         )
 
@@ -333,10 +317,10 @@ class ImmediateScheduler(Scheduler):
     selection time — any value cached across placements goes stale the
     moment an earlier task is placed.
 
-    The batched kernel wave (``Master._schedule_wave`` with the vectorized
-    backend) mirrors exactly this contract: one dense loads vector evolving
-    per placement, every other context field frozen — which is why it is
-    bit-identical to N single-task invocations.  That holds while workers
+    The batched kernel wave (``Master._schedule_wave``) mirrors exactly
+    this contract: one dense loads vector evolving per placement, every
+    other context field frozen — which is why it is bit-identical to N
+    single-task invocations.  That holds while workers
     are offline too: :meth:`select_processor` may pick an offline processor
     (RR does), which the master diverts per task, and a wave diverts the
     same pick to the same target (see the wave contract in

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..workloads.task import Task
+from . import kernels
 from .base import ImmediateScheduler, SchedulingContext
 
 __all__ = ["EarliestFirstScheduler"]
@@ -32,6 +33,4 @@ class EarliestFirstScheduler(ImmediateScheduler):
         return int(np.argmin(finish_times))
 
     def select_processors_wave(self, sizes: np.ndarray, ctx: SchedulingContext):
-        return ctx.kernels.earliest_finish_wave(
-            sizes, ctx.pending_loads, ctx.rates, ctx.online
-        )
+        return kernels.earliest_finish_wave(sizes, ctx.pending_loads, ctx.rates, ctx.online)

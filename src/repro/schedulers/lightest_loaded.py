@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..workloads.task import Task
+from . import kernels
 from .base import ImmediateScheduler, SchedulingContext
 
 __all__ = ["LightestLoadedScheduler"]
@@ -30,6 +31,4 @@ class LightestLoadedScheduler(ImmediateScheduler):
         return int(np.argmin(ctx.pending_loads))
 
     def select_processors_wave(self, sizes: np.ndarray, ctx: SchedulingContext):
-        return ctx.kernels.lightest_loaded_wave(
-            sizes, ctx.pending_loads, ctx.rates, ctx.online
-        )
+        return kernels.lightest_loaded_wave(sizes, ctx.pending_loads, ctx.rates, ctx.online)

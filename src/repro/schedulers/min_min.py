@@ -14,6 +14,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..workloads.task import Task
+from . import kernels
 from .base import BatchScheduler, ScheduleAssignment, SchedulingContext
 
 __all__ = ["MinMinScheduler"]
@@ -22,8 +23,7 @@ __all__ = ["MinMinScheduler"]
 class MinMinScheduler(BatchScheduler):
     """Smallest-task-first batch heuristic using earliest-finish placement.
 
-    The batch is placed through the context's policy-kernel backend
-    (:meth:`~repro.schedulers.kernels.PolicyKernelBackend.greedy_finish_batch`):
+    The batch is placed through :func:`~repro.schedulers.kernels.greedy_finish_batch`:
     tasks are ordered by ``(size, task_id)`` — equal-size tasks always in
     FCFS (ascending id) order, in *both* sort directions — and each is
     placed on the lowest-indexed processor minimising its finish time.
@@ -41,7 +41,7 @@ class MinMinScheduler(BatchScheduler):
         if tasks:
             sizes = np.array([task.size_mflops for task in tasks], dtype=float)
             task_ids = np.array([task.task_id for task in tasks], dtype=np.int64)
-            order, procs = ctx.kernels.greedy_finish_batch(
+            order, procs = kernels.greedy_finish_batch(
                 sizes, task_ids, ctx.pending_loads.copy(), ctx.rates, self.descending
             )
             ids = task_ids.tolist()

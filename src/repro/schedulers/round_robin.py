@@ -7,8 +7,8 @@ processor loads.  Worst case complexity Θ(1) per task.
 
 from __future__ import annotations
 
-
 from ..workloads.task import Task
+from . import kernels
 from .base import ImmediateScheduler, SchedulingContext
 
 __all__ = ["RoundRobinScheduler"]
@@ -29,7 +29,6 @@ class RoundRobinScheduler(ImmediateScheduler):
         return proc
 
     def select_processors_wave(self, sizes, ctx: SchedulingContext):
-        kernels = ctx.kernels
         procs, self._next = kernels.round_robin_wave(len(sizes), ctx.n_processors, self._next)
         diverted = kernels.place_picks(procs, sizes, ctx.pending_loads, ctx.rates, ctx.online)
         return procs, diverted

@@ -5,14 +5,11 @@ same :class:`~repro.sim.simulation.DistributedSystemSimulation` through the
 event loop (:func:`~repro.sim.engine.run_events`), for simulations without
 cluster dynamics (no failures/recoveries/joins/load spikes — the whole
 figure suite and every steady-state scenario).  Each ``INVOKE_SCHEDULER``
-follow-up routes through
-:meth:`Master.schedule_all_available`, which — under the vectorized policy
-backend — places a whole arrival wave of an immediate-mode policy with one
-kernel invocation instead of one ``schedule()`` call, context build and
-assignment object per task (see :mod:`repro.schedulers.kernels`; on a
-static run every worker is online, so every immediate-mode invocation here
-batches).  Beyond that, the replay exploits the static structure three
-times:
+follow-up routes through :meth:`Master.schedule_all_available`, which
+places a whole arrival wave of an immediate-mode policy with one kernel
+invocation instead of one ``schedule()`` call, context build and assignment
+object per task (see :mod:`repro.schedulers.kernels`).  Beyond that, the
+replay exploits the static structure three times:
 
 1. **Merge loop instead of a general event heap.**  In a static run only
    three event sources exist: task arrivals (known up front, pre-sorted),

@@ -26,7 +26,7 @@ from ..schedulers.base import (
     SchedulerMode,
     SchedulingContext,
 )
-from ..schedulers.kernels import default_policy_backend, diversion_target
+from ..schedulers.kernels import diversion_target
 from ..util.errors import SimulationError
 from ..util.rng import RNGLike, ensure_rng
 from ..util.smoothing import NU, SmoothedMap
@@ -65,12 +65,6 @@ class Master:
         self.n_processors = int(n_processors)
         self._initial_rates = initial_rates.copy()
         self._rng = ensure_rng(rng)
-        #: Policy-kernel backend threaded into every scheduling context (see
-        #: :mod:`repro.schedulers.kernels`).  Always the vectorized backend,
-        #: which also enables the batched immediate-mode wave of
-        #: :meth:`_schedule_wave`; tests assign the bit-identical ``"loop"``
-        #: reference here (via ``policy_backend_from_name``) as its oracle.
-        self.policy_kernels = default_policy_backend()
 
         self.unscheduled: Deque[Task] = deque()
         self.proc_queues: List[Deque[Task]] = [deque() for _ in range(n_processors)]
@@ -232,9 +226,7 @@ class Master:
         # The master's arrays already satisfy every context invariant (float64,
         # matching shapes, positive rates, non-negative loads/costs), so skip
         # the validating constructor on this per-invocation path.
-        return SchedulingContext.trusted(
-            time, rates, loads, comm_costs, self._rng, self.policy_kernels, online
-        )
+        return SchedulingContext.trusted(time, rates, loads, comm_costs, self._rng, online)
 
     # -- scheduling ------------------------------------------------------------------------
     def run_scheduler_once(self, time: float) -> Optional[ScheduleAssignment]:
@@ -343,10 +335,10 @@ class Master:
         or the policy declines to take more work.
 
         Immediate-mode policies consume everything in one pass — batched
-        into a single wave-kernel invocation when the policy backend is
-        vectorized and the policy provides a wave kernel, whether or not
-        some workers are offline (bit-identical to the per-task path either
-        way, diversions included); batch-mode policies are re-invoked while
+        into a single wave-kernel invocation when the policy provides a wave
+        kernel, whether or not some workers are offline (bit-identical to the
+        per-task path, diversions included), one :meth:`run_scheduler_once`
+        per task when it declines; batch-mode policies are re-invoked while
         there are still unscheduled tasks *and* at least one processor queue
         is empty, which mirrors the paper's goal of never letting a
         processor sit idle while work exists.  With every worker offline
@@ -359,12 +351,7 @@ class Master:
         online = self.online_processors()
         if not online:
             return 0
-        if (
-            immediate
-            and self.unscheduled
-            and self.policy_kernels.batches_immediate_waves
-            and isinstance(self.scheduler, ImmediateScheduler)
-        ):
+        if immediate and self.unscheduled and isinstance(self.scheduler, ImmediateScheduler):
             waved = self._schedule_wave(time)
             if waved is not None:
                 return waved

@@ -31,7 +31,6 @@ from repro.ga import (
     GAConfig,
     completion_times,
     GeneticAlgorithm,
-    LoopBackend,
     ProblemGroup,
     VectorizedBackend,
     cycle_crossover_batch,
@@ -54,6 +53,8 @@ from repro.ga.population import random_population, seeded_population
 from repro.ga.selection import RouletteWheelSelection, SelectionOperator, roulette_rows
 from repro.parallel import SerialExecutor
 from repro.util.errors import ConfigurationError
+
+from reference_kernels import LoopBackend
 
 #: The reference kernels and the ones every run evolves on, built directly.
 BACKENDS = {"loop": LoopBackend, "vectorized": VectorizedBackend}

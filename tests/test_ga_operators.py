@@ -46,6 +46,32 @@ class TestRouletteProbabilities:
         probs = roulette_probabilities(np.array([np.inf, 1.0]))
         assert probs == pytest.approx([0.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "fitness, expected",
+        [
+            ([1e308] * 5, [0.2] * 5),
+            ([1e308, 1e308, 1.0, 1.0], [0.5, 0.5, 5e-309, 5e-309]),
+            # Non-finite and non-positive slots are dropped before the sum.
+            ([np.inf, 1e308, 1e308], [0.0, 0.5, 0.5]),
+            ([1e308, 0.0, -1.0, 1e308], [0.5, 0.0, 0.0, 0.5]),
+        ],
+    )
+    def test_overflowing_total_stays_proportional(self, fitness, expected):
+        # Finite slots whose sum overflows to inf: the wheel must still be
+        # proportional to fitness, alone and stacked over a finite row.
+        with np.errstate(over="ignore"):
+            probs = roulette_probabilities(np.array(fitness))
+            stacked = roulette_probabilities(np.array([fitness, [1.0] * len(fitness)]))
+        assert probs.tolist() == expected
+        assert stacked[0].tolist() == expected
+        assert stacked[1].tolist() == [1.0 / len(fitness)] * len(fitness)
+        with np.errstate(over="ignore"):
+            picks = RouletteWheelSelection().select(np.array(fitness), 400, rng=0)
+        # Every spin used to land on index 0; now each heavy slot takes ~1/k.
+        heavy = np.array(fitness) == 1e308
+        counts = np.bincount(picks, minlength=len(fitness))
+        assert (counts[heavy] > 400 / heavy.sum() / 2).all()
+
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             roulette_probabilities(np.array([]))

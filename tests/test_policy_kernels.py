@@ -1,20 +1,25 @@
-"""Tests of the policy-kernel backends (`repro.schedulers.kernels`).
+"""Tests of the policy kernels (`repro.schedulers.kernels`).
 
-The contract mirrors `repro.ga.kernels`: the ``loop`` backend is the
-semantic reference (the historical per-task arithmetic) and the
-``vectorized`` backend must be *bit-identical* to it on every kernel —
-including exact float ties, where the documented tie-break contract
-(lowest-index argmin; FCFS task ordering among equal sizes/sufferages)
-decides.  On top of kernel-level parity, the vectorized backend switches
-the simulation master to batched immediate-mode waves, so full simulations
-under either policy backend — on either simulation engine — must also be
-bit-identical.  Full simulations select the policy backend through the
-master's ``policy_kernels`` seam and force the event engine by patching
-``uses_fast_path`` on the simulation instance.  Call-count tests pin what
-the vectorized backend is for: a burst of N tasks costs one wave call.
+The contract mirrors `repro.ga.kernels`: the ``loop`` kernel set — the
+per-task references in ``reference_kernels.py`` — is the semantic reference
+(the historical per-task arithmetic), and the ``vectorized`` kernels must be
+*bit-identical* to it on every kernel, including exact float ties, where the
+documented tie-break contract (lowest-index argmin; FCFS task ordering among
+equal sizes) decides.  On top of kernel-level parity, the master places an
+immediate-mode policy's arrival waves through one kernel call, so full
+simulations on either kernel set — on either simulation engine — must also
+be bit-identical.  A full simulation runs on the references inside
+``reference_kernels.references``, which swaps them in for the module's names
+and makes an immediate-mode policy decline every wave (the master's per-task
+path); the event engine is forced by patching ``uses_fast_path`` on the
+simulation instance.  Call-count tests pin what the kernels are for: a burst
+of N tasks costs one wave call.
 """
 
 import collections
+import contextlib
+import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -24,40 +29,48 @@ from hypothesis import strategies as st
 from repro.cluster.topology import heterogeneous_cluster, homogeneous_cluster
 from repro.scenarios import DynamicsTimeline, WorkerJoin
 from repro.schedulers import (
-    POLICY_BACKEND_NAMES,
-    LoopPolicyBackend,
     MaxMinScheduler,
     MinMinScheduler,
+    RoundRobinScheduler,
     SchedulingContext,
-    VectorizedPolicyBackend,
-    default_policy_backend,
-    policy_backend_from_name,
+    kernels,
 )
 from repro.schedulers.base import ImmediateScheduler
-from repro.schedulers.extended import (
-    MinimumExecutionTimeScheduler,
-    OpportunisticLoadBalancingScheduler,
-    SufferageScheduler,
-)
 from repro.schedulers.kernels import diversion_target
 from repro.schedulers.registry import make_scheduler
+from repro.sim.master import Master
 from repro.sim.simulation import DistributedSystemSimulation, SimulationConfig
-from repro.util.errors import ConfigurationError, SimulationError
+from repro.util.errors import SimulationError
 from repro.workloads import Task
 from repro.workloads.generator import generate_workload
 from repro.workloads.suites import workload_by_name
 
-LOOP = LoopPolicyBackend()
-VEC = VectorizedPolicyBackend()
+import reference_kernels
+from reference_kernels import POLICY_KERNELS, references
+
+LOOP = reference_kernels
+VEC = kernels
+
+#: The two kernel sets every parity test compares: the per-task references
+#: (``loop``) and the kernels every simulation runs on (``vectorized``).
+KERNEL_SETS = ("loop", "vectorized")
+#: Runs a test once on each kernel set's module, as ``impl``.
+BOTH_IMPLS = pytest.mark.parametrize("impl", [LOOP, VEC], ids=KERNEL_SETS)
 
 
-def simulate(scheduler, cluster, tasks, *, rng, engine="fast", policy_backend="vectorized"):
-    """One full simulation on the given engine and policy-kernel backend."""
+def on_kernels(kernel_set, scheduler):
+    """A context in which *scheduler* runs on the kernel set *kernel_set*."""
+    return references(scheduler) if kernel_set == "loop" else contextlib.nullcontext()
+
+
+def simulate(scheduler, cluster, tasks, *, rng, engine="fast", kernel_set="vectorized"):
+    """One full simulation on the given engine and kernel set."""
     sim = DistributedSystemSimulation(scheduler, cluster, tasks, rng=rng)
-    sim.master.policy_kernels = policy_backend_from_name(policy_backend)
     if engine == "event":
         sim.uses_fast_path = lambda: False
-    return sim.run()
+    with on_kernels(kernel_set, scheduler):
+        return sim.run()
+
 
 # Small value pools make exact float ties (equal sizes, rates and loads)
 # common rather than astronomically rare — the tie-break contract is the
@@ -89,18 +102,13 @@ def online_masks(m):
     return st.none() | masks.map(lambda bits: np.array(bits, dtype=bool))
 
 
-WAVE_KERNELS = (
-    "earliest_finish_wave",
-    "lightest_loaded_wave",
-    "opportunistic_wave",
-    "minimum_execution_wave",
-)
+WAVE_KERNELS = ("earliest_finish_wave", "lightest_loaded_wave")
 
 
-def round_robin_placement(backend, sizes, loads, rates, start, online):
+def round_robin_placement(impl, sizes, loads, rates, start, online):
     """An RR wave as the scheduler runs it: rotation picks, then placement."""
-    picks, next_start = backend.round_robin_wave(len(sizes), loads.shape[0], start)
-    diverted = backend.place_picks(picks, sizes, loads, rates, online)
+    picks, next_start = impl.round_robin_wave(len(sizes), loads.shape[0], start)
+    diverted = impl.place_picks(picks, sizes, loads, rates, online)
     return picks, diverted, next_start
 
 
@@ -168,35 +176,24 @@ class TestKernelParity:
         np.testing.assert_array_equal(procs_a, procs_b)
         np.testing.assert_array_equal(loads_a, loads_b)
 
-    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(state=dense_states)
-    def test_sufferage_batch_bit_identical(self, state):
-        sizes, loads, rates = unpack(state)
-        loads_a, loads_b = loads.copy(), loads.copy()
-        order_a, procs_a = LOOP.sufferage_batch(sizes, loads_a, rates)
-        order_b, procs_b = VEC.sufferage_batch(sizes, loads_b, rates)
-        np.testing.assert_array_equal(order_a, order_b)
-        np.testing.assert_array_equal(procs_a, procs_b)
-        np.testing.assert_array_equal(loads_a, loads_b)
-
 
 class TestTieBreakContract:
-    """The documented tie-break rules, pinned case by case on both backends."""
+    """The documented tie-break rules, pinned case by case on both kernel sets."""
 
-    @pytest.mark.parametrize("backend", [LOOP, VEC])
-    def test_argmin_policies_pick_lowest_index_on_exact_ties(self, backend):
+    @BOTH_IMPLS
+    def test_argmin_policies_pick_lowest_index_on_exact_ties(self, impl):
         sizes = np.array([4.0])
         rates = np.array([2.0, 2.0, 2.0])
         for kernel in WAVE_KERNELS:
-            procs, _ = getattr(backend, kernel)(sizes, np.zeros(3), rates)
+            procs, _ = getattr(impl, kernel)(sizes, np.zeros(3), rates)
             assert procs[0] == 0, kernel
 
-    @pytest.mark.parametrize("backend", [LOOP, VEC])
-    def test_ef_wave_is_sequential_in_effect(self, backend):
+    @BOTH_IMPLS
+    def test_ef_wave_is_sequential_in_effect(self, impl):
         # Equal tasks on two equal processors: each placement must see the
         # previous one's load, alternating 0,1,0 — a fully parallel argmin
         # over the frozen initial state would put all three on processor 0.
-        procs, diverted = backend.earliest_finish_wave(
+        procs, diverted = impl.earliest_finish_wave(
             np.array([4.0, 4.0, 4.0]), np.zeros(2), np.array([1.0, 1.0])
         )
         assert procs.tolist() == [0, 1, 0]
@@ -215,14 +212,14 @@ class TestTieBreakContract:
         )
         assert reference == 1
 
-    @pytest.mark.parametrize("backend", [LOOP, VEC])
-    def test_diverted_picks_follow_the_evolving_loads(self, backend):
+    @BOTH_IMPLS
+    def test_diverted_picks_follow_the_evolving_loads(self, impl):
         # Processor 0 is offline and scores best for EF every time; each
         # diverted task lands on the online processor that is then the
         # least loaded, lowest index first on the initial tie.
         online = np.array([False, True, True])
         loads = np.zeros(3)
-        procs, diverted = backend.earliest_finish_wave(
+        procs, diverted = impl.earliest_finish_wave(
             np.array([3.0, 3.0, 3.0]), loads, np.array([100.0, 1.0, 1.0]), online
         )
         assert procs.tolist() == [1, 2, 1]
@@ -230,12 +227,12 @@ class TestTieBreakContract:
         assert loads.tolist() == [0.0, 6.0, 3.0]
 
     @pytest.mark.parametrize("kernel", WAVE_KERNELS)
-    @pytest.mark.parametrize("backend", [LOOP, VEC])
-    def test_all_but_one_offline_places_everything_on_the_survivor(self, backend, kernel):
+    @BOTH_IMPLS
+    def test_all_but_one_offline_places_everything_on_the_survivor(self, impl, kernel):
         online = np.array([False, False, True, False])
         loads = np.zeros(4)
         sizes = np.array([5.0, 1.0, 2.0])
-        procs, diverted = getattr(backend, kernel)(
+        procs, diverted = getattr(impl, kernel)(
             sizes, loads, np.array([4.0, 3.0, 2.0, 1.0]), online
         )
         assert procs.tolist() == [2, 2, 2]
@@ -244,12 +241,12 @@ class TestTieBreakContract:
         # all-zero load ties, fastest rate otherwise), so every pick moved.
         assert diverted == 3
 
-    @pytest.mark.parametrize("backend", [LOOP, VEC])
-    def test_round_robin_start_on_offline_processor_is_diverted(self, backend):
+    @BOTH_IMPLS
+    def test_round_robin_start_on_offline_processor_is_diverted(self, impl):
         online = np.array([True, True, False, True])
         loads = np.zeros(4)
         picks, diverted, next_start = round_robin_placement(
-            backend, np.array([1.0, 1.0, 1.0, 1.0]), loads, np.ones(4), 2, online
+            impl, np.array([1.0, 1.0, 1.0, 1.0]), loads, np.ones(4), 2, online
         )
         # Picks 2, 3, 0, 1: the first is offline and goes to the lightest
         # online queue (processor 0 on the all-zero tie); then 3, 0, 1.
@@ -258,91 +255,68 @@ class TestTieBreakContract:
         assert next_start == 2
         assert loads.tolist() == [2.0, 1.0, 0.0, 1.0]
 
-    @pytest.mark.parametrize("backend", [LOOP, VEC])
-    def test_max_min_equal_sizes_placed_in_fcfs_order(self, backend):
+    @BOTH_IMPLS
+    def test_max_min_equal_sizes_placed_in_fcfs_order(self, impl):
         # The regression the kernels fix: sorting with reverse=True over
         # (size, task_id) reversed the id tie-break among equal sizes, so
         # duplicate-size tasks were placed newest-first.  The contract is
         # (-size, task_id): strictly larger first, FCFS among equals.
         sizes = np.array([5.0, 9.0, 5.0, 9.0, 5.0])
         task_ids = np.array([10, 11, 12, 13, 14], dtype=np.int64)
-        order, _ = backend.greedy_finish_batch(
+        order, _ = impl.greedy_finish_batch(
             sizes, task_ids, np.zeros(2), np.array([1.0, 1.0]), descending=True
         )
         # Both 9.0s (ids 11, 13) first in id order, then the 5.0s in id order.
         assert order.tolist() == [1, 3, 0, 2, 4]
 
-    @pytest.mark.parametrize("backend", [LOOP, VEC])
-    def test_min_min_equal_sizes_placed_in_fcfs_order(self, backend):
+    @BOTH_IMPLS
+    def test_min_min_equal_sizes_placed_in_fcfs_order(self, impl):
         sizes = np.array([9.0, 5.0, 9.0, 5.0])
         task_ids = np.array([0, 1, 2, 3], dtype=np.int64)
-        order, _ = backend.greedy_finish_batch(
+        order, _ = impl.greedy_finish_batch(
             sizes, task_ids, np.zeros(2), np.array([1.0, 1.0]), descending=False
         )
         assert order.tolist() == [1, 3, 0, 2]
-
-    @pytest.mark.parametrize("backend", [LOOP, VEC])
-    def test_sufferage_equal_sufferages_take_fcfs_task(self, backend):
-        # Identical tasks on identical processors: every task's sufferage is
-        # equal each round, so rounds must consume tasks in FCFS order, each
-        # on its lowest-indexed best processor.
-        order, procs = backend.sufferage_batch(
-            np.array([4.0, 4.0, 4.0]), np.zeros(2), np.array([1.0, 1.0])
-        )
-        assert order.tolist() == [0, 1, 2]
-        assert procs.tolist() == [0, 1, 0]
-
-    @pytest.mark.parametrize("backend", [LOOP, VEC])
-    def test_sufferage_best_processor_is_lowest_indexed_minimiser(self, backend):
-        # Three equal processors: the completion vector ties everywhere, the
-        # best processor must be index 0 (argmin, not an unstable argsort)
-        # and the sufferage gap is exactly zero.
-        order, procs = backend.sufferage_batch(
-            np.array([6.0]), np.zeros(3), np.array([2.0, 2.0, 2.0])
-        )
-        assert order.tolist() == [0]
-        assert procs.tolist() == [0]
 
 
 class TestMaxMinSchedulerRegression:
     """The MaxMin FCFS fix observed through the scheduler and full sims."""
 
-    def make_context(self, rates, backend_name):
+    def make_context(self, rates):
         rates = np.asarray(rates, dtype=float)
         return SchedulingContext(
             time=0.0,
             rates=rates,
             pending_loads=np.zeros_like(rates),
             comm_costs=np.zeros_like(rates),
-            kernels=policy_backend_from_name(backend_name),
         )
 
-    @pytest.mark.parametrize("backend_name", POLICY_BACKEND_NAMES)
-    def test_duplicate_sizes_assigned_fcfs(self, backend_name):
+    @pytest.mark.parametrize("kernel_set", KERNEL_SETS)
+    def test_duplicate_sizes_assigned_fcfs(self, kernel_set):
         tasks = [Task(i, 12.0) for i in range(3)]
-        assignment = MaxMinScheduler(batch_size=10).schedule(
-            tasks, self.make_context([10.0, 10.0], backend_name)
-        )
+        scheduler = MaxMinScheduler(batch_size=10)
+        with on_kernels(kernel_set, scheduler):
+            assignment = scheduler.schedule(tasks, self.make_context([10.0, 10.0]))
         # FCFS among equal sizes: task 0 -> proc 0, task 1 -> proc 1, task 2
         # -> proc 0 again.  The historical reverse=True sort placed 2,1,0.
         assert assignment.queues() == [[0, 2], [1]]
 
-    @pytest.mark.parametrize("backend_name", POLICY_BACKEND_NAMES)
-    def test_min_min_and_max_min_agree_on_all_equal_sizes(self, backend_name):
+    @pytest.mark.parametrize("kernel_set", KERNEL_SETS)
+    def test_min_min_and_max_min_agree_on_all_equal_sizes(self, kernel_set):
         # With every size equal the two sort directions coincide — only if
         # both tie-break FCFS.
         tasks = [Task(i, 8.0) for i in range(7)]
-        ctx = self.make_context([10.0, 20.0, 40.0], backend_name)
-        mm = MinMinScheduler(batch_size=10).schedule(tasks, ctx)
-        mx = MaxMinScheduler(batch_size=10).schedule(tasks, ctx)
-        assert mm.queues() == mx.queues()
+        ctx = self.make_context([10.0, 20.0, 40.0])
+        mm, mx = MinMinScheduler(batch_size=10), MaxMinScheduler(batch_size=10)
+        with on_kernels(kernel_set, mm):
+            assert mm.schedule(tasks, ctx).queues() == mx.schedule(tasks, ctx).queues()
 
     @pytest.mark.parametrize("sim_backend", ["event", "fast"])
-    @pytest.mark.parametrize("policy_backend", POLICY_BACKEND_NAMES)
-    def test_full_sim_duplicate_sizes(self, sim_backend, policy_backend):
+    @pytest.mark.parametrize("kernel_set", KERNEL_SETS)
+    def test_full_sim_duplicate_sizes(self, sim_backend, kernel_set):
         # Duplicate-size workload through the whole simulation: equal-size
-        # tasks must come off the sort in ascending-id order on every
-        # backend combination, visible as FCFS placement in the trace.
+        # tasks must come off the sort in ascending-id order on every engine
+        # and kernel set, visible as FCFS placement in the trace.
         tasks = [Task(i, 10.0 + 5.0 * (i % 3)) for i in range(24)]
         cluster = homogeneous_cluster(4, 100.0, mean_comm_cost=0.0)
         scheduler = make_scheduler("MX", n_processors=4, batch_size=24, max_generations=5, rng=1)
@@ -352,7 +326,7 @@ class TestMaxMinSchedulerRegression:
             tasks,
             rng=2,
             engine=sim_backend,
-            policy_backend=policy_backend,
+            kernel_set=kernel_set,
         )
         trace_ids = result.trace.column("task_id")
         trace_procs = result.trace.column("proc_id")
@@ -361,7 +335,7 @@ class TestMaxMinSchedulerRegression:
         # require the simulation to realise exactly it.
         sizes = np.array([t.size_mflops for t in tasks])
         ids = np.arange(len(tasks), dtype=np.int64)
-        order, procs = LoopPolicyBackend().greedy_finish_batch(
+        order, procs = LOOP.greedy_finish_batch(
             sizes, ids, np.zeros(4), np.full(4, 100.0), descending=True
         )
         expected = {int(ids[i]): int(p) for i, p in zip(order.tolist(), procs.tolist())}
@@ -403,11 +377,11 @@ class TestBatchBoundaries:
 
 
 class TestWaveVsPerTask:
-    """Wave batching under the vectorized backend changes nothing visible."""
+    """Wave batching on the vectorized kernels changes nothing visible."""
 
     SCHEDULERS = ["EF", "LL", "RR", "MM", "MX"]
 
-    def run(self, scheduler_name, policy_backend, sim_backend="fast", seed=21):
+    def run(self, scheduler_name, kernel_set, sim_backend="fast", seed=21):
         tasks = generate_workload(
             workload_by_name("poisson_small", 60), np.random.default_rng(seed)
         )
@@ -423,7 +397,7 @@ class TestWaveVsPerTask:
             tasks,
             rng=seed + 3,
             engine=sim_backend,
-            policy_backend=policy_backend,
+            kernel_set=kernel_set,
         )
 
     @pytest.mark.parametrize("scheduler_name", SCHEDULERS)
@@ -453,7 +427,7 @@ class TestWaveVsPerTask:
 
     def test_declining_policy_falls_back_to_per_task_path(self):
         # A policy that keeps the default select_processors_wave (returns
-        # None) must run unchanged under the vectorized backend.
+        # None) runs on the master's per-task path, unchanged.
         class StubbornEF(ImmediateScheduler):
             name = "EF"
 
@@ -507,27 +481,37 @@ class TestWaveVsPerTask:
             sim.run()
 
 
-KERNELS = (
-    *WAVE_KERNELS,
-    "round_robin_wave",
-    "place_picks",
-    "greedy_finish_batch",
-    "sufferage_batch",
-)
-
-
-def counting_backend():
-    """A vectorized backend plus a counter of the calls to each of its kernels."""
-    backend = VectorizedPolicyBackend()
+def count_kernel_calls(monkeypatch, module=kernels):
+    """A counter of the calls to each policy kernel name of *module*."""
     calls = collections.Counter()
-    for name in KERNELS:
+    for name in POLICY_KERNELS:
 
-        def counted(*args, _name=name, _kernel=getattr(backend, name), **kwargs):
+        def counted(*args, _name=name, _kernel=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _kernel(*args, **kwargs)
 
-        setattr(backend, name, counted)
-    return backend, calls
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def burst_simulation(scheduler_name, n_tasks, mode):
+    """A burst of *n_tasks* ``normal`` tasks at t=0 on ten heterogeneous workers.
+
+    *mode* is ``fast`` (the fast path), ``event`` (the event loop) or
+    ``offline`` (the event loop with worker 0 joining long after the last
+    task finishes).  Batch policies take batches of 50.
+    """
+    tasks = generate_workload(workload_by_name("normal", n_tasks), np.random.default_rng(0))
+    cluster = heterogeneous_cluster(10, mean_comm_cost=5.0, rng=np.random.default_rng(1))
+    scheduler = make_scheduler(
+        scheduler_name, n_processors=10, batch_size=50, max_generations=10, rng=2
+    )
+    offline = mode == "offline"
+    dynamics = DynamicsTimeline([WorkerJoin(time=1e9, proc=0)]) if offline else None
+    sim = DistributedSystemSimulation(scheduler, cluster, tasks, dynamics=dynamics, rng=3)
+    if mode == "event":
+        sim.uses_fast_path = lambda: False
+    return sim
 
 
 class TestKernelCallCounts:
@@ -537,57 +521,37 @@ class TestKernelCallCounts:
     policies place the whole burst in one wave however large it is, and the
     batch policies call their kernel once per batch of 50 — on the fast
     path, on the event loop, and on the event loop with worker 0 offline.
-    The counts are deterministic, so they pin the vectorized backend's
-    design with no timing noise.
+    The counts are deterministic, so they pin the kernels' design with no
+    timing noise.
     """
 
-    # RR and MET pick without looking at the loads, then commit the picks
-    # through one ``place_picks`` call.
+    # RR picks without looking at the loads, then commits the picks through
+    # one ``place_picks`` call.
     WAVE_CALLS = {
         "EF": {"earliest_finish_wave": 1},
         "LL": {"lightest_loaded_wave": 1},
         "RR": {"round_robin_wave": 1, "place_picks": 1},
-        "OLB": {"opportunistic_wave": 1},
-        "MET": {"minimum_execution_wave": 1, "place_picks": 1},
     }
     BATCH_KERNELS = {
         "MM": "greedy_finish_batch",
         "MX": "greedy_finish_batch",
-        "SU": "sufferage_batch",
     }
     MODES = ["fast", "event", "offline"]
 
-    def run(self, scheduler_name, n_tasks, mode):
-        tasks = generate_workload(workload_by_name("normal", n_tasks), np.random.default_rng(0))
-        cluster = heterogeneous_cluster(10, mean_comm_cost=5.0, rng=np.random.default_rng(1))
-        if scheduler_name == "OLB":
-            scheduler = OpportunisticLoadBalancingScheduler()
-        elif scheduler_name == "MET":
-            scheduler = MinimumExecutionTimeScheduler()
-        elif scheduler_name == "SU":
-            scheduler = SufferageScheduler(batch_size=50)
-        else:
-            scheduler = make_scheduler(
-                scheduler_name, n_processors=10, batch_size=50, max_generations=10, rng=2
-            )
-        # Worker 0 joins long after the last task finishes.
-        offline = mode == "offline"
-        dynamics = DynamicsTimeline([WorkerJoin(time=1e9, proc=0)]) if offline else None
-        sim = DistributedSystemSimulation(scheduler, cluster, tasks, dynamics=dynamics, rng=3)
-        if mode == "event":
-            sim.uses_fast_path = lambda: False
-        sim.master.policy_kernels, calls = counting_backend()
+    def run(self, scheduler_name, n_tasks, mode, monkeypatch):
+        sim = burst_simulation(scheduler_name, n_tasks, mode)
+        calls = count_kernel_calls(monkeypatch)
         result = sim.run()
         assert sorted(result.trace.task_ids().tolist()) == list(range(n_tasks))
-        if offline:
+        if mode == "offline":
             assert 0 not in result.trace.column("proc_id").tolist()
         return result, calls
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n_tasks", [200, 2000])
     @pytest.mark.parametrize("scheduler_name", sorted(WAVE_CALLS))
-    def test_one_burst_is_one_wave(self, scheduler_name, n_tasks, mode):
-        result, calls = self.run(scheduler_name, n_tasks, mode)
+    def test_one_burst_is_one_wave(self, scheduler_name, n_tasks, mode, monkeypatch):
+        result, calls = self.run(scheduler_name, n_tasks, mode, monkeypatch)
         assert result.scheduler_invocations == n_tasks
         assert calls == self.WAVE_CALLS[scheduler_name]
         if mode == "offline" and scheduler_name == "RR":
@@ -598,54 +562,139 @@ class TestKernelCallCounts:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n_tasks", [200, 2000])
     @pytest.mark.parametrize("scheduler_name", sorted(BATCH_KERNELS))
-    def test_batch_policy_calls_its_kernel_once_per_batch(self, scheduler_name, n_tasks, mode):
-        result, calls = self.run(scheduler_name, n_tasks, mode)
+    def test_batch_policy_calls_its_kernel_once_per_batch(
+        self, scheduler_name, n_tasks, mode, monkeypatch
+    ):
+        result, calls = self.run(scheduler_name, n_tasks, mode, monkeypatch)
         assert calls == {self.BATCH_KERNELS[scheduler_name]: n_tasks // 50}
         assert result.scheduler_invocations == n_tasks // 50
 
 
-class TestBackendSelectionAndValidation:
-    def test_backend_registry(self):
-        assert POLICY_BACKEND_NAMES == ("loop", "vectorized")
-        assert isinstance(policy_backend_from_name("loop"), LoopPolicyBackend)
-        assert isinstance(policy_backend_from_name("vectorized"), VectorizedPolicyBackend)
-        assert not policy_backend_from_name("loop").batches_immediate_waves
-        assert policy_backend_from_name("vectorized").batches_immediate_waves
+class TestWaveMatchesPerTaskSelections:
+    """An immediate-mode policy's wave is its ``select_processor``, task by task.
 
-    def test_unknown_backend_name_rejected(self):
-        with pytest.raises(ConfigurationError, match="policy backend"):
-            policy_backend_from_name("turbo")
+    Inside ``references`` the master places such a policy's tasks with one
+    ``select_processor`` call each, diverts a pick that lands offline to
+    ``diversion_target`` and adds the size to the target's load.  The wave
+    must equal that loop over the policy's own method, not only the loop
+    kernels.
+    """
 
-    def test_default_backend_is_vectorized(self):
-        assert default_policy_backend().name == "vectorized"
+    @pytest.mark.parametrize("scheduler_name", ["EF", "LL", "RR"])
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(state=dense_states, data=st.data())
+    def test_wave_equals_per_task_selections(self, scheduler_name, state, data):
+        sizes, loads, rates = unpack(state)
+        m = loads.shape[0]
+        online = data.draw(online_masks(m), label="online")
+        start = data.draw(st.integers(0, 12), label="start")
 
-    def test_context_resolves_default_and_validates_type(self):
-        ctx = SchedulingContext(
-            time=0.0,
-            rates=np.array([10.0]),
-            pending_loads=np.zeros(1),
-            comm_costs=np.zeros(1),
-        )
-        assert ctx.kernels is default_policy_backend()
-        with pytest.raises(ConfigurationError, match="kernels"):
-            SchedulingContext(
-                time=0.0,
-                rates=np.array([10.0]),
-                pending_loads=np.zeros(1),
-                comm_costs=np.zeros(1),
-                kernels="vectorized",  # a name is not a backend instance
+        def context(pending_loads):
+            return SchedulingContext.trusted(
+                0.0, rates, pending_loads, np.zeros(m), np.random.default_rng(0), online
             )
 
-    def test_simulation_config_validates_policy_backend(self):
-        # The policy backend is reachable only through the master's seam:
-        # simulations always start on the vectorized kernels.
-        sim = DistributedSystemSimulation(
-            make_scheduler("EF", n_processors=2, rng=1),
-            homogeneous_cluster(2, 100.0, mean_comm_cost=1.0),
-            generate_workload(workload_by_name("normal", 4), np.random.default_rng(0)),
-            rng=2,
+        def policy():
+            if scheduler_name == "RR":
+                return RoundRobinScheduler(start_processor=start)
+            return make_scheduler(scheduler_name, n_processors=m)
+
+        wave_ctx = context(loads.copy())
+        procs, diverted = policy().select_processors_wave(sizes, wave_ctx)
+
+        scheduler, working = policy(), loads.copy()
+        expected, expected_diverted = [], 0
+        for k, size in enumerate(sizes.tolist()):
+            proc = scheduler.select_processor(Task(k, size), context(working.copy()))
+            if online is not None and not online[proc]:
+                proc = diversion_target(working, rates, online)
+                expected_diverted += 1
+            expected.append(proc)
+            working[proc] += size
+        assert procs.tolist() == expected
+        assert diverted == expected_diverted
+        np.testing.assert_array_equal(wave_ctx.pending_loads, working)
+
+
+class TestReferencesRunEveryPolicy:
+    """A simulation inside ``references`` runs on the references alone.
+
+    The whole-simulation parity tests hold the kernels to a run inside
+    ``references(scheduler)``.  Were a policy to reach its kernel by a name
+    the block does not swap, or to keep its wave, they would compare the
+    kernels with themselves.  Inside the block an immediate-mode policy
+    places each task with its own ``select_processor`` and calls no kernel,
+    a batch policy calls the reference batch kernel once per batch, and the
+    run is the one the kernels realise, bit for bit.
+    """
+
+    N_TASKS = 200
+
+    @pytest.mark.parametrize("mode", TestKernelCallCounts.MODES)
+    @pytest.mark.parametrize("scheduler_name", TestWaveVsPerTask.SCHEDULERS)
+    def test_simulation_runs_on_the_references(self, scheduler_name, mode, monkeypatch):
+        default = burst_simulation(scheduler_name, self.N_TASKS, mode).run()
+        sim = burst_simulation(scheduler_name, self.N_TASKS, mode)
+        scheduler = sim.scheduler
+        calls = count_kernel_calls(monkeypatch, module=reference_kernels)
+        immediate = isinstance(scheduler, ImmediateScheduler)
+        if immediate:
+            select = scheduler.select_processor
+
+            def counted_select(task, ctx):
+                calls["select_processor"] += 1
+                return select(task, ctx)
+
+            monkeypatch.setattr(scheduler, "select_processor", counted_select)
+        with references(scheduler):
+            result = sim.run()
+        if immediate:
+            assert calls == {"select_processor": self.N_TASKS}
+        else:
+            assert calls == {"greedy_finish_batch": self.N_TASKS // 50}
+        assert result.makespan == default.makespan
+        assert result.scheduler_invocations == default.scheduler_invocations
+        assert result.batch_sizes == default.batch_sizes
+        assert result.metrics.dynamics.tasks_redirected == (
+            default.metrics.dynamics.tasks_redirected
         )
-        assert sim.master.policy_kernels is default_policy_backend()
+        for name in ("task_id", "proc_id", "exec_start", "exec_end"):
+            np.testing.assert_array_equal(
+                result.trace.column(name), default.trace.column(name), err_msg=name
+            )
+
+    @pytest.mark.parametrize("scheduler_name", TestWaveVsPerTask.SCHEDULERS)
+    def test_block_restores_the_kernels_and_the_wave(self, scheduler_name):
+        # The swap must not leak: a later test in the same process would
+        # otherwise run on the references, or never wave, unawares.
+        scheduler = make_scheduler(scheduler_name, n_processors=2, batch_size=4)
+        immediate = isinstance(scheduler, ImmediateScheduler)
+        state = dict(time=0.0, rates=np.ones(2), pending_loads=np.zeros(2), comm_costs=np.zeros(2))
+
+        def names():
+            return {name: getattr(kernels, name) for name in POLICY_KERNELS}
+
+        def waves():
+            return scheduler.select_processors_wave(np.ones(3), SchedulingContext(**state))
+
+        before = names()
+        with references(scheduler):
+            assert names() == {name: getattr(reference_kernels, name) for name in POLICY_KERNELS}
+            if immediate:
+                assert waves() is None
+        assert names() == before
+        with pytest.raises(RuntimeError):
+            with references(scheduler):
+                raise RuntimeError("the block fails")
+        assert names() == before
+        if immediate:
+            procs, diverted = waves()
+            assert procs.shape == (3,) and diverted == 0
+
+
+class TestBackendSelectionAndValidation:
+    def test_simulation_config_validates_policy_backend(self):
+        # Simulations always run on the one set of policy kernels.
         with pytest.raises(TypeError, match="policy_backend"):
             SimulationConfig(policy_backend="loop")
 
@@ -664,19 +713,47 @@ class TestBackendSelectionAndValidation:
         spec = CampaignSpec(name="pk", figures=("fig5",))
         assert CampaignSpec.from_dict({**spec.to_dict(), "policy_backend": "loop"}) == spec
 
-    def test_sufferage_and_extended_route_through_context_kernels(self):
-        # The batch/extended schedulers must take their kernels from the
-        # context, so a loop-backend context really exercises the reference
-        # implementation end to end.
-        rates = np.array([10.0, 20.0])
-        for backend_name in POLICY_BACKEND_NAMES:
-            ctx = SchedulingContext(
-                time=0.0,
-                rates=rates,
-                pending_loads=np.zeros(2),
-                comm_costs=np.zeros(2),
-                kernels=policy_backend_from_name(backend_name),
-            )
-            tasks = [Task(i, float(5 + i)) for i in range(6)]
-            assignment = SufferageScheduler(batch_size=10).schedule(tasks, ctx)
-            assert sorted(assignment.task_ids()) == list(range(6))
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("repro.schedulers", "MinimumExecutionTimeScheduler"),
+            ("repro.schedulers", "OpportunisticLoadBalancingScheduler"),
+            ("repro.schedulers", "SufferageScheduler"),
+            ("repro.schedulers", "policy_backend_from_name"),
+            ("repro.schedulers", "POLICY_BACKEND_NAMES"),
+            ("repro.schedulers", "LoopPolicyBackend"),
+            ("repro.schedulers", "VectorizedPolicyBackend"),
+            ("repro.schedulers", "PolicyKernelBackend"),
+            ("repro.schedulers", "default_policy_backend"),
+            ("repro.schedulers", "EXTENDED_SCHEDULER_NAMES"),
+            ("repro.schedulers.kernels", "PolicyKernelBackend"),
+            ("repro.schedulers.kernels", "default_policy_backend"),
+            ("repro.schedulers.kernels", "policy_backend_from_name"),
+            ("repro.schedulers.kernels", "POLICY_BACKEND_NAMES"),
+            ("repro.schedulers.kernels", "LoopPolicyBackend"),
+            ("repro.schedulers.kernels", "VectorizedPolicyBackend"),
+            ("repro.ga", "LoopBackend"),
+            ("repro.ga.kernels", "LoopBackend"),
+        ],
+    )
+    def test_retired_names_are_gone(self, module, name):
+        # The paper's seven schedulers run on one set of kernels; the loop
+        # references live with the tests.
+        assert not hasattr(importlib.import_module(module), name)
+
+    def test_extended_schedulers_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.schedulers.extended")
+
+    def test_retired_options_are_not_fields(self):
+        # Neither a scheduling context nor the master carries a kernel backend.
+        assert "kernels" not in [f.name for f in dataclasses.fields(SchedulingContext)]
+        state = dict(time=0.0, rates=np.ones(2), pending_loads=np.zeros(2), comm_costs=np.zeros(2))
+        with pytest.raises(TypeError, match="kernels"):
+            SchedulingContext(**state, kernels=None)
+        with pytest.raises(TypeError, match="kernels"):
+            SchedulingContext.trusted(**state, rng=np.random.default_rng(0), kernels=None)
+        with pytest.raises(TypeError, match="kernels"):
+            SchedulingContext(**state).copy(kernels=None)
+        master = Master(make_scheduler("EF", n_processors=2), 2, np.ones(2))
+        assert not hasattr(master, "policy_kernels")

@@ -19,7 +19,6 @@ from repro.ga import (
     BatchProblem,
     GAConfig,
     GeneticAlgorithm,
-    LoopBackend,
     VectorizedBackend,
     evaluate_assignments,
 )
@@ -36,6 +35,8 @@ from repro.schedulers import (
 )
 from repro.sim import simulate_schedule
 from repro.workloads import Task, UniformSizes, WorkloadSpec, generate_workload
+
+from reference_kernels import LoopBackend
 
 HEURISTICS = [
     EarliestFirstScheduler,

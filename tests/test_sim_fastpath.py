@@ -20,13 +20,14 @@ from repro.cluster.topology import (
     varying_availability_cluster,
 )
 from repro.scenarios.dynamics import DynamicsTimeline, WorkerFailure
-from repro.schedulers.kernels import policy_backend_from_name
 from repro.schedulers.registry import make_scheduler
 from repro.sim import simulation as simulation_module
 from repro.sim.simulation import DistributedSystemSimulation, SimulationConfig
 from repro.util.errors import SimulationError
 from repro.workloads.generator import generate_workload
 from repro.workloads.suites import workload_by_name
+
+from reference_kernels import references
 
 #: The two simulation engines every parity test compares.
 ENGINES = ("event", "fast")
@@ -72,7 +73,7 @@ def run_backend(
     n_processors=6,
     mean_comm_cost=8.0,
     seed=0,
-    policy_backend="vectorized",
+    kernel_set="vectorized",
 ):
     tasks = generate_workload(
         workload_by_name(workload, n_tasks), np.random.default_rng(seed)
@@ -93,9 +94,11 @@ def run_backend(
         tasks,
         rng=seed + 3,
     )
-    sim.master.policy_kernels = policy_backend_from_name(policy_backend)
-    result = on_engine(sim, backend).run()
-    return sim, result
+    on_engine(sim, backend)
+    if kernel_set == "loop":
+        with references(sched):
+            return sim, sim.run()
+    return sim, sim.run()
 
 
 def assert_identical(event, fast):
@@ -170,7 +173,7 @@ class TestBackendParity:
         n_tasks=st.integers(5, 40),
         n_processors=st.integers(1, 8),
         mean_comm_cost=st.sampled_from([0.0, 2.0, 15.0]),
-        policy_backend=st.sampled_from(["loop", "vectorized"]),
+        kernel_set=st.sampled_from(["loop", "vectorized"]),
     )
     def test_property_event_and_fast_results_equal(
         self,
@@ -181,11 +184,12 @@ class TestBackendParity:
         n_tasks,
         n_processors,
         mean_comm_cost,
-        policy_backend,
+        kernel_set,
     ):
-        # policy_backend is drawn too: event/fast equality must hold whether
-        # immediate-mode decisions run per task (loop) or as batched waves
-        # (vectorized) — and, transitively, the four combinations agree.
+        # The kernel set is drawn too: event/fast equality must hold whether
+        # decisions run on the per-task references (loop) or on the kernels,
+        # in batched waves (vectorized) — and, transitively, the four
+        # combinations agree.
         kwargs = dict(
             scheduler=scheduler,
             workload=workload,
@@ -194,7 +198,7 @@ class TestBackendParity:
             n_processors=n_processors,
             mean_comm_cost=mean_comm_cost,
             seed=seed,
-            policy_backend=policy_backend,
+            kernel_set=kernel_set,
         )
         assert_identical(run_backend("event", **kwargs), run_backend("fast", **kwargs))
 
