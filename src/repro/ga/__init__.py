@@ -19,7 +19,7 @@ from .encoding import (
     random_chromosome,
     validate_chromosome,
 )
-from .engine import GAConfig, GAResult, GAStopReason, GeneticAlgorithm
+from .engine import GAConfig, GAResult, GeneticAlgorithm
 from .kernels import (
     KernelBackend,
     VectorizedBackend,
@@ -118,6 +118,5 @@ __all__ = [
     # engine
     "GAConfig",
     "GAResult",
-    "GAStopReason",
     "GeneticAlgorithm",
 ]

@@ -14,6 +14,12 @@ queues.  Each generation performs, in order:
 
 A generation whose re-balancing accepts no swap leaves the population as it
 was evaluated, so it is not evaluated again (a one-task batch never swaps).
+A one-task batch's best placement is known exactly, so a run whose first
+evaluation already holds it is *settled*: it stops evolving and only makes
+the draws its remaining generations would make (see
+:mod:`repro.ga.kernels`).  Every run therefore makes the draws of exactly
+``max_generations`` generations, and its result is that of the full
+evolution.
 
 The population-level work of each generation — decoding, re-balancing,
 crossover and mutation — runs on the whole-population NumPy kernels of
@@ -35,7 +41,6 @@ exactly its solo draws, so every result is bit-identical to the solo run.
 
 from __future__ import annotations
 
-import enum
 import time as _time
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Sequence, Union
@@ -55,13 +60,7 @@ from .population import random_population, seeded_population
 from .problem import BatchProblem, ProblemGroup
 from .selection import SelectionOperator, selection_from_name
 
-__all__ = ["GAConfig", "GAResult", "GAStopReason", "GeneticAlgorithm"]
-
-
-class GAStopReason(enum.Enum):
-    """Why the GA stopped evolving."""
-
-    MAX_GENERATIONS = "max_generations"
+__all__ = ["GAConfig", "GAResult", "GeneticAlgorithm"]
 
 
 #: The kernels every run evolves on.  Tests patch in the per-individual loop
@@ -136,6 +135,11 @@ class GAResult:
     stacked population (1 for a run alone).  A stacked run's
     ``wall_time_seconds`` and ``timings`` seconds are its ``1/stacked``
     share of the group's; the phase counts are its own.
+
+    Every field is that of ``generations`` evolved generations.  A settled
+    one-task run (see :mod:`repro.ga.engine`) reports them all the same: its
+    ``makespan_history`` repeats its first best, and only its ``timings``
+    show one decode and one fitness phase.
     """
 
     best_assignment: np.ndarray
@@ -146,9 +150,7 @@ class GAResult:
     initial_best_makespan: float
     psi: float
     generations: int
-    stop_reason: GAStopReason
     makespan_history: List[float]
-    mean_fitness_history: List[float]
     wall_time_seconds: float
     timings: PhaseTimer = field(default_factory=PhaseTimer, repr=False)
     stacked: int = 1
@@ -193,7 +195,6 @@ class GeneticAlgorithm:
             "ga:evolve",
             generations=result.generations,
             n_tasks=problem.n_tasks,
-            stop_reason=result.stop_reason.value,
             stacked=result.stacked,
         )
         return result
@@ -246,7 +247,7 @@ def _evolve_group(runs: Sequence[_Run]) -> List[GAResult]:
     """The generation loop: evolve *runs* as one stacked population.
 
     Rows ``k·P … k·P + P − 1`` of the population are run ``k``'s; every
-    per-problem quantity (best individual, histories) is a length-``K``
+    per-problem quantity (best individual, makespan history) is a length-``K``
     array, and ``rngs[k]`` makes run ``k``'s solo draws in solo order.
     """
     lead = runs[0].engine
@@ -267,10 +268,10 @@ def _evolve_group(runs: Sequence[_Run]) -> List[GAResult]:
     best_error = np.full(n_runs, np.inf)
     best_fitness = np.zeros(n_runs)
     initial_best: Optional[np.ndarray] = None
-    # Per generation and run: the best makespan so far and the fitness sum.
+    # Per generation and run: the best makespan so far.
     makespan_history = np.empty((cfg.max_generations, n_runs))
-    fitness_sums = np.empty((cfg.max_generations, n_runs))
     generation = 0
+    settles = group.n_tasks == 1 and backend.settles(selection, crossover)
 
     def keep_best(result) -> None:
         by_run = result.makespans.reshape(n_runs, pop)
@@ -300,6 +301,23 @@ def _evolve_group(runs: Sequence[_Run]) -> List[GAResult]:
         # returned schedule is never worse than any individual evaluated.
         keep_best(result)
 
+        # One task: a run whose best is already the least makespan of the
+        # task's M placements keeps it to the end, since keep_best takes only
+        # a strictly lower one.  Once every run is there, the group settles.
+        if settles and generation == 1 and _at_optimum(group, best_makespan):
+            backend.replay_one_task(
+                rngs,
+                pop,
+                group.n_processors,
+                cfg.max_generations,
+                cfg.n_rebalances,
+                cfg.mutation_rate,
+                cfg.swaps_per_mutation,
+            )
+            makespan_history[:] = best_makespan
+            generation = cfg.max_generations
+            break
+
         # Re-balancing heuristic (Sect. 3.5): applied to every individual.
         # With no swap accepted the population, and so its evaluation, is
         # unchanged.
@@ -321,15 +339,15 @@ def _evolve_group(runs: Sequence[_Run]) -> List[GAResult]:
                 keep_best(result)
 
         makespan_history[generation - 1] = best_makespan
-        fitness_rows = result.fitness.reshape(n_runs, pop)
-        np.add.reduce(fitness_rows, axis=1, out=fitness_sums[generation - 1])
 
         if generation >= cfg.max_generations:
             break
 
         # -- next generation --------------------------------------------------------
         with timings.measure("selection"):
-            parents = population[selection.select_rows(fitness_rows, rngs)]
+            parents = population[
+                selection.select_rows(result.fitness.reshape(n_runs, pop), rngs)
+            ]
 
         with timings.measure("crossover"):
             children = backend.crossover(parents, crossover, cfg.crossover_rate, rngs)
@@ -346,8 +364,6 @@ def _evolve_group(runs: Sequence[_Run]) -> List[GAResult]:
     assert initial_best is not None
     wall_share = (_time.perf_counter() - start) / n_runs
     makespans_by_run = makespan_history[:generation].T.tolist()
-    # sum / n is the arithmetic of ndarray.mean, without its overhead.
-    mean_fitness_by_run = (fitness_sums[:generation] / pop).T.tolist()
     results = []
     for k, run in enumerate(runs):
         problem = run.problem
@@ -368,15 +384,25 @@ def _evolve_group(runs: Sequence[_Run]) -> List[GAResult]:
                 initial_best_makespan=float(initial_best[k]),
                 psi=problem.optimal_time(),
                 generations=generation,
-                stop_reason=GAStopReason.MAX_GENERATIONS,
                 makespan_history=makespans_by_run[k],
-                mean_fitness_history=mean_fitness_by_run[k],
                 wall_time_seconds=wall_share,
                 timings=_share(timings, n_runs),
                 stacked=n_runs,
             )
         )
     return results
+
+
+def _at_optimum(group: ProblemGroup, best_makespan: np.ndarray) -> bool:
+    """Whether each one-task problem's best makespan is the least of its M placements.
+
+    The placements are evaluated as an ``(M, 1)`` column per problem with the
+    population's own arithmetic, so the comparison is exact.
+    """
+    m = group.n_processors
+    placements = np.tile(np.arange(m), len(group.problems))[:, None]
+    makespans = evaluate_assignments(placements, ProblemGroup(group.problems, m)).makespans
+    return bool((makespans.reshape(-1, m).min(axis=1) == best_makespan).all())
 
 
 def _share(timings: PhaseTimer, n_runs: int) -> PhaseTimer:

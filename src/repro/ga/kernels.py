@@ -71,6 +71,19 @@ its own draw layout.
 A block of uniforms equals the same number of sequential draws, so a stage
 may read consecutive blocks in one call: each rebalance round reads its
 candidate uniforms and probe keys in one ``rng.random`` call per problem.
+
+A settled one-task run
+----------------------
+With one task (H = 1) the best of a problem's M placements is known, so a
+run whose first evaluation already holds it can never improve.  When its
+operators' draws do not depend on the population (roulette selection and
+cycle crossover: :meth:`KernelBackend.settles`), the engine stops evolving
+it, and :meth:`KernelBackend.replay_one_task` makes exactly the draws its
+generations would have made, in the order above: per generation the
+backend's own rebalance draws (:meth:`KernelBackend.one_task_rebalance_uniforms`:
+``n_rebalances`` blocks of ``P·(H+1)`` uniforms on :class:`VectorizedBackend`,
+none on the loop reference, whose heuristic returns before drawing when
+there is one task), then, before every generation but the last, stages 1–5.
 """
 
 from __future__ import annotations
@@ -84,6 +97,7 @@ from ..util.errors import ConfigurationError, EncodingError
 from ..util.rng import random_rows
 from .crossover import CrossoverOperator, CycleCrossover
 from .problem import ProblemGroup
+from .selection import RouletteWheelSelection, SelectionOperator
 
 __all__ = [
     "KernelBackend",
@@ -275,6 +289,12 @@ def swap_positions_batch(
 # Batched re-balancing heuristic
 # ---------------------------------------------------------------------------
 
+def _rebalance_round_uniforms(rows: int, n_tasks: int) -> int:
+    """The uniforms each problem draws per :func:`rebalance_group` round: one
+    candidate uniform and *n_tasks* probe keys for each of its *rows*."""
+    return rows * (n_tasks + 1)
+
+
 def rebalance_group(
     population: np.ndarray,
     assignments: np.ndarray,
@@ -348,7 +368,8 @@ def rebalance_group(
 
         # Each problem reads the round's candidate uniforms and probe keys in
         # one call: the same values, in the same order, as two calls.
-        draws = random_rows(rngs, (per_problem * (n_tasks + 1),)).reshape(len(rngs), -1)
+        draws = random_rows(rngs, (_rebalance_round_uniforms(per_problem, n_tasks),))
+        draws = draws.reshape(len(rngs), -1)
         if not probe_limit.any():
             continue
         candidate_uniform = draws[:, :per_problem].ravel()
@@ -415,6 +436,8 @@ class KernelBackend(ABC):
     module-level draw-order contract — are made here in the base class, so
     every backend reads the identical streams by construction; subclasses
     only implement how the drawn operations are *applied* to the matrix.
+    The replay of a settled one-task run's draws is made here too; a
+    subclass says only how many uniforms its rebalance draws for one task.
     """
 
     @abstractmethod
@@ -436,6 +459,11 @@ class KernelBackend(ABC):
 
         Returns whether any individual accepted a swap.
         """
+
+    @abstractmethod
+    def one_task_rebalance_uniforms(self, rows: int, n_rebalances: int) -> int:
+        """The uniforms :meth:`rebalance` draws per problem and generation when
+        the group's problems have one task and *rows* individuals each."""
 
     def crossover(
         self,
@@ -488,6 +516,46 @@ class KernelBackend(ABC):
             j_pos = np.concatenate([j for _, j in draws])
         self._apply_swaps(population, rows, i_pos, j_pos)
         return population
+
+    @staticmethod
+    def settles(selection: SelectionOperator, crossover: CrossoverOperator) -> bool:
+        """Whether a settled one-task run's remaining draws are known without
+        its population: roulette spins ``P`` uniforms whatever its wheel, and
+        cycle crossover draws nothing.  Any other operator, a subclass of
+        these too, keeps evolving."""
+        return type(selection) is RouletteWheelSelection and type(crossover) is CycleCrossover
+
+    def replay_one_task(
+        self,
+        rngs: Sequence[np.random.Generator],
+        rows: int,
+        n_processors: int,
+        generations: int,
+        n_rebalances: int,
+        mutation_rate: float,
+        n_swaps: int,
+    ) -> None:
+        """Make the draws of *generations* generations of settled one-task runs.
+
+        Each problem draws from its generator, per generation, this backend's
+        rebalance uniforms, then, before every generation but the last, the
+        ``P`` roulette spins, the ``P // 2`` crossover gates and the ``P``
+        mutation gates (stages 1, 2 and 4, read in one call with that
+        generation's rebalance uniforms) and the swap positions of its gated
+        rows (stage 5).
+        """
+        rebalance = self.one_task_rebalance_uniforms(rows, n_rebalances)
+        breeding = rows + rows // 2 + rows
+        # A one-task chromosome has M genes: the task and M - 1 delimiters.
+        length = n_processors
+        for rng in rngs:
+            for _ in range(generations - 1):
+                gates = rng.random(rebalance + breeding)[-rows:]
+                mutated = np.count_nonzero(gates < mutation_rate)
+                if mutated and length >= 2:
+                    draw_swap_positions(rng, mutated, n_swaps, length)
+            if rebalance:
+                rng.random(rebalance)
 
     @abstractmethod
     def _apply_crossover(
@@ -550,6 +618,10 @@ class VectorizedBackend(KernelBackend):
         return rebalance_group(
             population, assignments, completions, group, n_rebalances, rngs, max_probes
         )
+
+    def one_task_rebalance_uniforms(self, rows: int, n_rebalances: int) -> int:
+        # Each round draws its fixed block, and finds no swap.
+        return n_rebalances * _rebalance_round_uniforms(rows, 1)
 
     def _apply_crossover(
         self,

@@ -45,7 +45,9 @@ def roulette_probabilities(fitness: np.ndarray) -> np.ndarray:
     if fitness.ndim not in (1, 2) or fitness.size == 0:
         raise ConfigurationError("fitness must be a non-empty 1-D or 2-D array")
     safe = np.where(np.isfinite(fitness) & (fitness > 0), fitness, 0.0)
-    total = safe.sum(axis=-1, keepdims=True)
+    # A sum past the float range reads inf, and its row is rescaled below.
+    with np.errstate(over="ignore"):
+        total = safe.sum(axis=-1, keepdims=True)
     overflow = total == np.inf
     if np.count_nonzero(overflow):
         # Dividing by 1.0 is exact, so rows with a finite total keep their bits.

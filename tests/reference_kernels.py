@@ -12,21 +12,25 @@ bit for bit.  No experiment runs on them.
 * :class:`LoopBackend` is the GA's per-individual
   :class:`~repro.ga.kernels.KernelBackend`.  Patching it in as
   ``repro.ga.engine._KERNELS`` evolves whole runs on it.
+* :func:`fitness_log` records every population the engine evaluates, so two
+  runs held to each other compare every evolved generation, not only their
+  results.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 import pytest
 
+from repro.ga import engine
 from repro.ga.crossover import CrossoverOperator
 from repro.ga.encoding import chromosome_from_queues, decode_assignment
 from repro.ga.kernels import KernelBackend
 from repro.ga.mutation import apply_position_swaps, rebalance_many
-from repro.ga.problem import ProblemGroup
+from repro.ga.problem import BatchProblem, ProblemGroup
 from repro.schedulers import kernels
 from repro.schedulers.base import ImmediateScheduler, Scheduler
 from repro.schedulers.kernels import diversion_target
@@ -173,6 +177,10 @@ class LoopBackend(KernelBackend):
             completions[idx] = outcome.completions
         return accepted
 
+    def one_task_rebalance_uniforms(self, rows: int, n_rebalances: int) -> int:
+        # rebalance_assignment returns before drawing when there is one task.
+        return 0
+
     @staticmethod
     def _swap_genes(chromosome: np.ndarray, task_a: int, task_b: int) -> None:
         pos_a = int(np.nonzero(chromosome == task_a)[0][0])
@@ -198,3 +206,34 @@ class LoopBackend(KernelBackend):
     ) -> None:
         for local, row in enumerate(rows):
             apply_position_swaps(population[row], i_pos[local], j_pos[local])
+
+
+@contextmanager
+def fitness_log() -> Iterator[Callable[[BatchProblem], List[List[float]]]]:
+    """Record the fitness of every evaluation the GA engine makes inside the block.
+
+    Yields ``log``: ``log(problem)`` lists, in call order, the fitness values
+    of *problem*'s rows in each evaluation that held it, whether its run
+    evolved alone or stacked.  Give each run its own problem object.  An
+    evaluation equal to the problem's previous one is listed once: a stacked
+    group evaluates again when any of its runs' rebalance accepts a swap, so
+    a run's unchanged population is re-evaluated only when it is stacked.  A
+    one-task run's check for its optimum shows as an entry of ``M`` values
+    after its first generation's.
+    """
+    evaluate = engine.evaluate_assignments
+    entries: Dict[int, Tuple[BatchProblem, List[List[float]]]] = {}
+
+    def recording(assignments, group):
+        result = evaluate(assignments, group)
+        rows = result.fitness.reshape(len(group.problems), -1)
+        for problem, fitness in zip(group.problems, rows.tolist()):
+            # The entry holds the problem, so its id stays unique.
+            evaluations = entries.setdefault(id(problem), (problem, []))[1]
+            if not evaluations or evaluations[-1] != fitness:
+                evaluations.append(fitness)
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "evaluate_assignments", recording)
+        yield lambda problem: entries.get(id(problem), (problem, []))[1]

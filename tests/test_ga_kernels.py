@@ -54,7 +54,7 @@ from repro.ga.selection import RouletteWheelSelection, SelectionOperator, roulet
 from repro.parallel import SerialExecutor
 from repro.util.errors import ConfigurationError
 
-from reference_kernels import LoopBackend
+from reference_kernels import LoopBackend, fitness_log
 
 #: The reference kernels and the ones every run evolves on, built directly.
 BACKENDS = {"loop": LoopBackend, "vectorized": VectorizedBackend}
@@ -356,16 +356,19 @@ class TestBackendParity:
         config = GAConfig(
             population_size=12, max_generations=18, n_rebalances=0, crossover=crossover
         )
-        results = {
-            backend: evolve_on(backend, config, problem, 7, monkeypatch)
-            for backend in BACKENDS
-        }
+        results, evaluated = {}, {}
+        for backend in BACKENDS:
+            with fitness_log() as log:
+                results[backend] = evolve_on(backend, config, problem, 7, monkeypatch)
+            evaluated[backend] = log(problem)
         loop, vectorized = results["loop"], results["vectorized"]
         assert np.array_equal(loop.best_assignment, vectorized.best_assignment)
         assert loop.best_makespan == vectorized.best_makespan
         assert loop.makespan_history == vectorized.makespan_history
-        assert loop.mean_fitness_history == vectorized.mean_fitness_history
         assert loop.best_queues == vectorized.best_queues
+        # Every generation's population, not only the best of each.
+        assert len(evaluated["loop"]) == 18
+        assert evaluated["loop"] == evaluated["vectorized"]
 
     def test_crossover_stage_bit_identical(self):
         rng = np.random.default_rng(4)
@@ -642,13 +645,16 @@ class TestKernelBitIdentity:
 
 
 # ---------------------------------------------------------------------------
-# The stacked roulette wheel, and the engine's skipped re-evaluation
+# The stacked roulette wheel, the engine's skipped re-evaluation, and
+# settled one-task runs
 # ---------------------------------------------------------------------------
 
 
 class _PerRowRoulette(SelectionOperator):
     """Roulette selection through the base ``select_rows``: one
-    ``roulette_select`` wheel per problem, not one build for the stack."""
+    ``roulette_select`` wheel per problem, not one build for the stack.  It
+    draws as roulette does, but is not :class:`RouletteWheelSelection`, so a
+    one-task run on it never settles: it evolves every generation."""
 
     name = "roulette"
 
@@ -670,13 +676,12 @@ def result_fields(result):
         result.best_assignment.tolist(),
         result.best_queues,
         result.makespan_history,
-        result.mean_fitness_history,
         result.generations,
-        result.stop_reason.value,
         result.best_makespan,
         result.best_error,
         result.best_fitness,
         result.initial_best_makespan,
+        result.psi,
     )
 
 
@@ -686,30 +691,54 @@ def _evolve_seeded(config, problem, seed):
     return result_fields(result), rng.bit_generator.state
 
 
+def _settled(result):
+    """Whether the run stopped evolving after its first evaluation."""
+    return result.timings.counts["decode"] == 1 < result.generations
+
+
 class TestStackedRoulette:
     @pytest.mark.parametrize("n_rebalances", [0, 1, 5])
     @pytest.mark.parametrize("n_tasks", [1, 2, 10])
     @pytest.mark.parametrize("pop", [2, 7, 20])
     def test_stacked_runs_equal_per_row_solo_runs(self, pop, n_tasks, n_rebalances):
-        problem = random_problem(np.random.default_rng(n_tasks), n_tasks, 4)
         config = dict(population_size=pop, max_generations=9, n_rebalances=n_rebalances)
+
+        def problem():
+            # A new object each time, so the fitness log tells the runs apart.
+            return random_problem(np.random.default_rng(n_tasks), n_tasks, 4)
 
         def evolve(seed):
             rng = np.random.default_rng(seed)
-            result = GeneticAlgorithm(GAConfig(**config), rng=rng).evolve(problem)
-            return result, rng.bit_generator.state
+            run_problem = problem()
+            result = GeneticAlgorithm(GAConfig(**config), rng=rng).evolve(run_problem)
+            return result, rng.bit_generator.state, run_problem
 
-        stacked = SerialExecutor().map(evolve, [11, 12, 13])
-        assert [result.stacked for result, _ in stacked] == [3, 3, 3]
-        for seed, (result, state) in zip([11, 12, 13], stacked):
-            solo = _evolve_seeded(GAConfig(selection=_PerRowRoulette(), **config), problem, seed)
-            assert (result_fields(result), state) == solo
+        with fitness_log() as log:
+            stacked = SerialExecutor().map(evolve, [11, 12, 13])
+            assert [result.stacked for result, _, _ in stacked] == [3, 3, 3]
+            for seed, (result, state, run_problem) in zip([11, 12, 13], stacked):
+                solo_problem = problem()
+                solo = _evolve_seeded(
+                    GAConfig(selection=_PerRowRoulette(), **config), solo_problem, seed
+                )
+                assert (result_fields(result), state) == solo
+                # The one-task group settles after evaluating its first
+                # population and its M placements; the per-row solo run
+                # evolves on.
+                assert _settled(result) == (n_tasks == 1)
+                evaluated, solo_evaluated = log(run_problem), log(solo_problem)
+                if n_tasks == 1:
+                    assert len(evaluated) == 2 and len(evaluated[1]) == 4
+                    assert evaluated[0] == solo_evaluated[0]
+                else:
+                    assert evaluated == solo_evaluated
 
     def test_one_task_run_evaluates_each_generation_once(self, monkeypatch):
         # One task can never be swapped, so no generation re-evaluates after
         # its rebalance; the result is the one of re-evaluating every time.
+        # Per-row roulette keeps the run from settling.
         problem = random_problem(np.random.default_rng(3), 1, 5)
-        config = GAConfig(max_generations=25, n_rebalances=1)
+        config = GAConfig(max_generations=25, n_rebalances=1, selection=_PerRowRoulette())
         result = GeneticAlgorithm(config, rng=4).evolve(problem)
         assert result.timings.counts["fitness"] == 25
         assert result.timings.counts["rebalance"] == 25
@@ -717,3 +746,103 @@ class TestStackedRoulette:
         reference = GeneticAlgorithm(config, rng=4).evolve(problem)
         assert reference.timings.counts["fitness"] == 50
         assert result_fields(result) == result_fields(reference)
+
+
+one_task_configs = st.fixed_dictionaries(
+    dict(
+        population_size=st.integers(min_value=2, max_value=30),
+        max_generations=st.integers(min_value=1, max_value=40),
+        n_rebalances=st.integers(min_value=0, max_value=5),
+        swaps_per_mutation=st.integers(min_value=1, max_value=3),
+        crossover_rate=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+        mutation_rate=st.sampled_from([0.0, 0.4, 1.0]),
+        seeded_initialisation=st.booleans(),
+    )
+)
+
+
+class TestSettledOneTaskRuns:
+    """A one-task group settles after its first evaluation when every run's
+    best is already the least makespan of its task's M placements: it stops
+    evolving and makes only the draws of its remaining generations."""
+
+    @given(
+        config=one_task_configs,
+        n_procs=st.integers(min_value=1, max_value=12),
+        n_runs=st.integers(min_value=1, max_value=4),
+        tie_heavy=st.booleans(),
+        backend=st.sampled_from(sorted(BACKENDS)),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_settled_runs_equal_full_evolution(
+        self, config, n_procs, n_runs, tie_heavy, backend, seed
+    ):
+        # Tie-heavy problems have no pending load or comm cost and two rates,
+        # so many placements tie for the least makespan.
+        make = tie_heavy_problem if tie_heavy else random_problem
+        problems = [make(np.random.default_rng(seed + k), 1, n_procs) for k in range(n_runs)]
+        seeds = [seed + 100 + k for k in range(n_runs)]
+
+        def evolve(k):
+            rng = np.random.default_rng(seeds[k])
+            result = GeneticAlgorithm(GAConfig(**config), rng=rng).evolve(problems[k])
+            return result, rng.bit_generator.state
+
+        full_config = GAConfig(selection=_PerRowRoulette(), **config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine_module, "_KERNELS", BACKENDS[backend]())
+            runs = SerialExecutor().map(evolve, range(n_runs))
+            full = [_evolve_seeded(full_config, problems[k], seeds[k]) for k in range(n_runs)]
+        for (result, state), expected in zip(runs, full):
+            assert result.stacked == n_runs
+            assert (result_fields(result), state) == expected
+
+    def test_settled_run_records_one_decode_and_one_fitness(self):
+        problem = random_problem(np.random.default_rng(3), 1, 5)
+        result = GeneticAlgorithm(GAConfig(max_generations=25), rng=4).evolve(problem)
+        assert result.timings.counts == {"initialisation": 1, "decode": 1, "fitness": 1}
+        assert result.generations == 25
+        assert result.makespan_history == [result.best_makespan] * 25
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_a_run_off_its_optimum_keeps_its_group_evolving(self, backend, monkeypatch):
+        # With random initialisation a one-task chromosome puts its task
+        # where its delimiters fall, whatever the rates, so the first run's
+        # initial individuals are drawn before its problem is chosen: its one
+        # fast processor is one that neither of them uses.  Its partners'
+        # processors are all alike, so every placement is optimal for them.
+        monkeypatch.setattr(engine_module, "_KERNELS", BACKENDS[backend]())
+        n_procs, seeds = 12, [5, 6, 7]
+        config = GAConfig(population_size=2, max_generations=12, seeded_initialisation=False)
+        any_problem = random_problem(np.random.default_rng(0), 1, n_procs)
+        initial = random_population(any_problem, 2, rng=seeds[0])
+        unused = set(range(n_procs)) - set(decode_population(initial, 1, n_procs)[:, 0].tolist())
+        rates = np.full(n_procs, 10.0)
+        rates[min(unused)] = 1000.0
+
+        def problem(rates):
+            return BatchProblem(
+                task_ids=np.array([0]),
+                sizes=np.array([500.0]),
+                rates=rates,
+                pending_loads=np.zeros(n_procs),
+                comm_costs=np.zeros(n_procs),
+            )
+
+        even = np.full(n_procs, 10.0)
+        problems = [problem(rates), problem(even), problem(even)]
+
+        def evolve(k):
+            rng = np.random.default_rng(seeds[k])
+            result = GeneticAlgorithm(config, rng=rng).evolve(problems[k])
+            return result, rng.bit_generator.state
+
+        stacked = SerialExecutor().map(evolve, range(3))
+        solos = [evolve(k) for k in range(3)]
+        assert stacked[0][0].initial_best_makespan == 50.0  # off the optimum, 0.5
+        assert [result.stacked for result, _ in stacked] == [3, 3, 3]
+        assert not any(_settled(result) for result, _ in stacked)
+        assert [_settled(solo) for solo, _ in solos] == [False, True, True]
+        for (result, state), (solo, solo_state) in zip(stacked, solos):
+            assert (result_fields(result), state) == (result_fields(solo), solo_state)

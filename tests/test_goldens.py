@@ -11,7 +11,7 @@ scale ``smoke``:
 * the aggregates of one campaign (fig5 plus three scenarios);
 * one :class:`~repro.ga.engine.GAResult` per case of :data:`GA_CASES`, a
   grid of seeded batch problems and engine configurations (its best
-  assignment and queues, both histories, generation count and stop reason).
+  assignment and queues, makespan history and generation count).
 
 The matrix and campaign digests are asserted twice: as-is, and with
 :meth:`DistributedSystemSimulation.uses_fast_path` forced to ``False``, so
@@ -154,9 +154,7 @@ def ga_engine_digests() -> dict:
                 "best_assignment": result.best_assignment.tolist(),
                 "best_queues": result.best_queues,
                 "makespan_history": result.makespan_history,
-                "mean_fitness_history": result.mean_fitness_history,
                 "generations": result.generations,
-                "stop_reason": result.stop_reason.value,
             }
         )
     return digests

@@ -23,6 +23,8 @@ from repro.parallel import LOCKSTEP_WIDTH, ParallelExecutor, SerialExecutor
 from repro.telemetry import TelemetrySession, span, telemetry_session
 from repro.util.lockstep import batched
 
+from reference_kernels import fitness_log
+
 JOB_THREAD = "repro-lockstep-job"
 
 #: Every call of the toy batch function: the items it was handed.
@@ -209,12 +211,11 @@ def _evolve_three(seed):
     """One job: three GA runs in a row on one generator, like a PN simulation."""
     config = GAConfig(population_size=8, max_generations=4)
     engine_rng = np.random.default_rng(seed)
-    results = [
-        GeneticAlgorithm(config, rng=engine_rng).evolve(_problem(seed + k))
-        for k in range(3)
-    ]
+    problems = [_problem(seed + k) for k in range(3)]
+    results = [GeneticAlgorithm(config, rng=engine_rng).evolve(problem) for problem in problems]
     return (
-        [(r.best_queues, r.makespan_history, r.mean_fitness_history, r.stacked) for r in results],
+        [(r.best_queues, r.makespan_history, r.stacked) for r in results],
+        problems,
         engine_rng.bit_generator.state,
     )
 
@@ -222,21 +223,25 @@ def _evolve_three(seed):
 class TestGAStacking:
     def test_stress_with_fast_thread_switching(self):
         """16 jobs under a 1 µs switch interval each get their solo results."""
-        solo = [_evolve_three(seed) for seed in range(16)]
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            start = time.monotonic()
-            stacked = SerialExecutor().map(_evolve_three, range(16))
-            assert time.monotonic() - start < 60.0
-        finally:
-            sys.setswitchinterval(interval)
-        for (solo_runs, solo_state), (runs, state) in zip(solo, stacked):
+        with fitness_log() as log:
+            solo = [_evolve_three(seed) for seed in range(16)]
+            sys.setswitchinterval(1e-6)
+            try:
+                start = time.monotonic()
+                stacked = SerialExecutor().map(_evolve_three, range(16))
+                assert time.monotonic() - start < 60.0
+            finally:
+                sys.setswitchinterval(interval)
+        for (solo_runs, solo_problems, solo_state), (runs, problems, state) in zip(solo, stacked):
             assert state == solo_state
             for solo_run, run in zip(solo_runs, runs):
-                assert run[:3] == solo_run[:3]
-                assert solo_run[3] == 1
-                assert run[3] == LOCKSTEP_WIDTH
+                assert run[:2] == solo_run[:2]
+                assert solo_run[2] == 1
+                assert run[2] == LOCKSTEP_WIDTH
+            # Every generation's population, evaluated alone and stacked.
+            assert [log(p) for p in problems] == [log(p) for p in solo_problems]
+            assert all(log(p) for p in problems)
 
     def test_figure4_runs_never_stack(self):
         """fig4 and the GA sweep report each run's measured seconds, so they
